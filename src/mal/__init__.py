@@ -29,11 +29,11 @@ from .grid import (
     dx,
     dy,
     f_density,
+    gradient,
     inner_product_du,
     integrate,
     laplacian,
     make_potential,
-    metric_grad,
     poisson_bracket,
 )
 from .lagrangians import (
@@ -42,7 +42,6 @@ from .lagrangians import (
     Power,
     SupFamily,
     evaluate,
-    evaluate_weighted,
 )
 from .rearrangement import (
     StepFunction,
@@ -60,7 +59,6 @@ from .transport import (
     TransportMap,
     composition_scheme,
     covariant_derivative,
-    knot_velocities,
     linear_path,
     pullback,
     symplectic_flow,

@@ -36,9 +36,9 @@ from .geodesics import (
     weak_geodesic,
 )
 from .grid import Potential, WeightedValues, make_potential
-from .lagrangians import LagrangianSpec, evaluate, is_positively_homogeneous
+from .lagrangians import LagrangianSpec, evaluate
 from .rearrangement import decreasing_rearrangement, step_l1_distance
-from .transport import PotentialPath, knot_velocities, velocity
+from .transport import PotentialPath
 
 
 @dataclass(frozen=True)
@@ -116,22 +116,14 @@ def path_action(spec: LagrangianSpec, path: PotentialPath) -> ActionReport:
     second order, and the midpoint potential is the knot average.
     """
     dt = np.diff(path.times)
-    contributions = []
     if path.interpolation == "piecewise-linear":
-        quot = np.diff(path.fields, axis=0) / dt[:, None, None]
-        for i in range(dt.size):
-            contributions.append(dt[i] * evaluate(spec, path.knots[i + 1], quot[i]))
-        rule = "right-endpoint"
+        measures, rule = path.knots[1:], "right-endpoint"
     else:
-        g = path.grid
-        for i in range(dt.size):
-            mid = make_potential(
-                0.5 * (path.fields[i] + path.fields[i + 1]), g
-            )
-            quot = (path.fields[i + 1] - path.fields[i]) / dt[i]
-            contributions.append(dt[i] * evaluate(spec, mid, quot))
+        f = path.fields
+        measures = [make_potential(0.5 * (f[i] + f[i + 1]), path.grid) for i in range(dt.size)]
         rule = "midpoint"
-    contributions = tuple(float(c) for c in contributions)
+    quot = path.interval_velocity
+    contributions = tuple(float(dt[i] * evaluate(spec, u, quot[i])) for i, u in enumerate(measures))
     return ActionReport(float(np.sum(contributions)), contributions, rule)
 
 
@@ -277,7 +269,7 @@ def verify_comparison_inequality(
     Raises:
         HomogeneityRequired: if spec is not positively homogeneous.
     """
-    if not is_positively_homogeneous(spec):
+    if not spec.positively_homogeneous:
         raise HomogeneityRequired(
             "the triangle comparison needs a positively homogeneous Lagrangian"
         )
@@ -290,8 +282,7 @@ def verify_comparison_inequality(
             apex, endpoint, (0.0, leg_duration), epsilon, time_steps, solver_tol
         )
         sol = solve_epsilon_geodesic(p)
-        apex_velocity = velocity(sol.path).fields[0]
-        leg_values.append(evaluate(spec, apex, apex_velocity))
+        leg_values.append(evaluate(spec, apex, sol.path.knot_velocity[0]))
     lhs = path_action(spec, path).value / leg_duration
     margin = lhs - (leg_values[1] - leg_values[0])
     return _report(
@@ -320,7 +311,7 @@ def verify_noether(
     udot(t); along an exact weak geodesic the velocities at all times are
     equidistributed, which is the stronger conservation law.
     """
-    vels = knot_velocities(path)
+    vels = path.knot_velocity
     values = []
     steps = []
     for i, knot in enumerate(path.knots):
@@ -358,10 +349,13 @@ def midpoint_convexity_margin(
     fields = np.asarray(fields, dtype=float)
     if fields.shape != path.fields.shape:
         raise ValueError("fields must provide one field per knot")
-    g_vals = np.asarray(
-        [evaluate(spec, knot, fields[i]) for i, knot in enumerate(path.knots)]
-    )
-    return float((g_vals[1:-1] - 0.5 * (g_vals[:-2] + g_vals[2:])).max())
+    return midpoint_excess([evaluate(spec, knot, fields[i]) for i, knot in enumerate(path.knots)])
+
+
+def midpoint_excess(values: Sequence[float]) -> float:
+    """Max over interior samples of g_i - (g_{i-1} + g_{i+1}) / 2; <= 0 for convex samples."""
+    g = np.asarray(values, dtype=float)
+    return float((g[1:-1] - 0.5 * (g[:-2] + g[2:])).max())
 
 
 def verify_jacobi_convexity(
@@ -445,8 +439,7 @@ def verify_action_convexity(
             solver_tol=solver_tol,
         )
         vals.append(least_action(q))
-    vals = np.asarray(vals)
-    worst = max(0.0, float((vals[1:-1] - 0.5 * (vals[:-2] + vals[2:])).max()))
+    worst = max(0.0, midpoint_excess(vals))
     return _report(
         "action-convexity",
         worst,

@@ -8,7 +8,7 @@ class MalError(Exception):
 
 
 class NotKahler(MalError):
-    """Candidate potential has a non-positive Monge-Ampere density somewhere."""
+    """Candidate potential is not finite or has a non-positive Monge-Ampere density somewhere."""
 
     def __init__(self, min_density: float):
         self.min_density = float(min_density)

@@ -8,9 +8,8 @@ per interior time knot,
 with centered time differences on a uniform knot grid.  Solutions for
 epsilon > 0 are produced by a damped matrix-free Newton iteration (Krylov
 linear solves preconditioned by a constant-coefficient space-time operator
-diagonalized by sine and Fourier transforms), with nonlinear Gauss-Seidel
-sweeps over time slices as a fallback.  Weak geodesics arise as warm-started
-continuation limits along a halving epsilon schedule.
+diagonalized by sine and Fourier transforms).  Weak geodesics arise as
+warm-started continuation limits along a halving epsilon schedule.
 
 Jacobi fields along an epsilon-geodesic are central differences of
 endpoint-perturbed solution families; the second-order Jacobi equation then
@@ -20,7 +19,6 @@ serves as an independent residual check on them.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 import scipy.fft
@@ -36,12 +34,14 @@ from .grid import (
     dx,
     dy,
     f_density,
+    fourier_symbols,
+    gradient,
     laplacian,
     make_potential,
     poisson_bracket,
 )
 from .lagrangians import CheckReport
-from .transport import PotentialPath, covariant_derivative
+from .transport import PotentialPath, centered_differences, covariant_derivative
 
 _LINE_SEARCH_HALVINGS = 30
 
@@ -93,27 +93,12 @@ class GeodesicSolution:
     iterations: int
 
 
-@lru_cache(maxsize=32)
-def _spatial_symbol(grid: Grid) -> NDArray[np.float64]:
-    """Fourier multiplier of the grid Laplacian (nonpositive)."""
-    n = grid.n
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    if grid.scheme == "spectral":
-        lam = -4.0 * np.pi**2 * (k[:, None] ** 2 + k[None, :] ** 2)
-    else:
-        s = np.sin(np.pi * k / n) ** 2
-        lam = -4.0 * n**2 * (s[:, None] + s[None, :])
-    lam.setflags(write=False)
-    return lam
-
-
 def _interior_residual(fields, dt, eps, grid):
     """Residual, density, velocity gradient, and forcing at interior knots."""
     rho = 1.0 + 0.5 * laplacian(fields, grid)
-    udot = (fields[2:] - fields[:-2]) / (2.0 * dt)
-    gx, gy = dx(udot, grid), dy(udot, grid)
+    udot, second = centered_differences(fields, dt)
+    gx, gy = gradient(udot, grid)
     forcing = 0.5 * (gx * gx + gy * gy) + eps
-    second = (fields[2:] - 2.0 * fields[1:-1] + fields[:-2]) / dt**2
     res = second - forcing / rho[1:-1]
     return res, rho, gx, gy, forcing
 
@@ -127,11 +112,11 @@ def _jacobian_operator(fields, dt, grid, rho, gx, gy, forcing):
     def matvec(flat):
         v = np.zeros_like(fields)
         v[1:-1] = flat.reshape(m_int, n, n)
-        vdot = (v[2:] - v[:-2]) / (2.0 * dt)
-        second = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / dt**2
+        vdot, second = centered_differences(v, dt)
+        vx, vy = gradient(vdot, grid)
         out = (
             second
-            - (gx * dx(vdot, grid) + gy * dy(vdot, grid)) / rho_i
+            - (gx * vx + gy * vy) / rho_i
             + forcing * (0.5 * laplacian(v[1:-1], grid)) / rho_i**2
         )
         return out.ravel()
@@ -143,14 +128,14 @@ def _jacobian_operator(fields, dt, grid, rho, gx, gy, forcing):
 def _preconditioner(m_int, dt, grid, coeff):
     """Inverse of D_t^2 + coeff * Laplacian, diagonal in sine x Fourier modes."""
     lam_t = (2.0 * np.cos(np.pi * np.arange(1, m_int + 1) / (m_int + 1)) - 2.0) / dt**2
-    denom = lam_t[:, None, None] + coeff * _spatial_symbol(grid)[None, :, :]
+    denom = lam_t[:, None, None] + coeff * fourier_symbols(grid).lap[None, :, :]
     n = grid.n
 
     def solve(flat):
         w = flat.reshape(m_int, n, n)
         w = scipy.fft.dst(w, type=1, axis=0, norm="ortho")
-        w = np.fft.fft2(w, axes=(-2, -1))
-        w = np.fft.ifft2(w / denom, axes=(-2, -1)).real
+        w = scipy.fft.rfft2(w, axes=(-2, -1))
+        w = scipy.fft.irfft2(w / denom, s=(n, n), axes=(-2, -1))
         w = scipy.fft.dst(w, type=1, axis=0, norm="ortho")
         return w.ravel()
 
@@ -168,30 +153,6 @@ def _default_initial(p: EpsGeodesicProblem) -> NDArray[np.float64]:
     return (1.0 - lam) * p.endpoint_a.field + lam * p.endpoint_b.field + sag
 
 
-def _gauss_seidel_sweeps(fields, dt, eps, grid, sweeps):
-    """Slice relaxation u_i += (dt^2/2) r_i, damped to keep densities positive."""
-    fields = fields.copy()
-    for _ in range(sweeps):
-        for i in range(1, fields.shape[0] - 1):
-            rho_i = 1.0 + 0.5 * laplacian(fields[i], grid)
-            udot = (fields[i + 1] - fields[i - 1]) / (2.0 * dt)
-            gxi, gyi = dx(udot, grid), dy(udot, grid)
-            forcing = 0.5 * (gxi * gxi + gyi * gyi) + eps
-            second = (fields[i + 1] - 2.0 * fields[i] + fields[i - 1]) / dt**2
-            update = 0.5 * dt**2 * (second - forcing / rho_i)
-            scale = 0.8
-            for _ in range(_LINE_SEARCH_HALVINGS):
-                trial = fields[i] + scale * update
-                if float((1.0 + 0.5 * laplacian(trial, grid)).min()) > 0.0:
-                    break
-                scale *= 0.5
-            else:
-                bad = np.unravel_index(np.argmin(1.0 + 0.5 * laplacian(trial, grid)), trial.shape)
-                raise PositivityLoss(i, bad)
-            fields[i] = trial
-    return fields
-
-
 def solve_epsilon_geodesic(
     p: EpsGeodesicProblem, initial: NDArray[np.float64] | None = None
 ) -> GeodesicSolution:
@@ -201,7 +162,8 @@ def solve_epsilon_geodesic(
     (endpoints are overwritten with the problem data).
 
     Raises:
-        NonConvergence: if max_iter Newton steps leave the residual above tol.
+        NonConvergence: if max_iter Newton steps leave the residual above
+            tol, or a line search finds no admissible decrease.
         PositivityLoss: if damping cannot keep an iterate admissible.
     """
     if p.epsilon <= 0:
@@ -218,10 +180,11 @@ def solve_epsilon_geodesic(
 
     res, rho, gx, gy, forcing = _interior_residual(fields, dt, p.epsilon, grid)
     res_norm = float(np.abs(res).max())
-    iterations = 0
-    for iterations in range(1, p.max_iter + 1):
-        if res_norm <= p.solver_tol:
-            break
+    iterations = 0  # lgmres calls, one per Newton step
+    while res_norm > p.solver_tol:
+        if iterations == p.max_iter:
+            raise NonConvergence(iterations, res_norm)
+        iterations += 1
         op = _jacobian_operator(fields, dt, grid, rho, gx, gy, forcing)
         coeff = float(np.mean(forcing / (2.0 * rho[1:-1] ** 2)))
         prec = _preconditioner(m - 1, dt, grid, coeff)
@@ -229,46 +192,34 @@ def solve_epsilon_geodesic(
         step = step.reshape(m - 1, grid.n, grid.n)
 
         alpha = 1.0
-        accepted = False
-        positivity_failed_everywhere = True
-        worst = None
+        admissible = False
         for _ in range(_LINE_SEARCH_HALVINGS + 1):
             trial = fields.copy()
             trial[1:-1] += alpha * step
             t_res, t_rho, t_gx, t_gy, t_forcing = _interior_residual(
                 trial, dt, p.epsilon, grid
             )
-            min_rho = float(t_rho.min())
-            if min_rho <= 0.0:
-                flat = int(np.argmin(t_rho))
-                worst = np.unravel_index(flat, t_rho.shape)
-                alpha *= 0.5
+            alpha *= 0.5
+            if float(t_rho.min()) <= 0.0:
+                worst = np.unravel_index(int(np.argmin(t_rho)), t_rho.shape)
                 continue
-            positivity_failed_everywhere = False
+            admissible = True
             t_norm = float(np.abs(t_res).max())
             if t_norm < res_norm:
                 fields = trial
                 res, rho, gx, gy, forcing = t_res, t_rho, t_gx, t_gy, t_forcing
                 res_norm = t_norm
-                accepted = True
                 break
-            alpha *= 0.5
-        if not accepted:
-            if positivity_failed_everywhere and worst is not None:
+        else:
+            if not admissible:
                 raise PositivityLoss(int(worst[0]), (int(worst[1]), int(worst[2])))
-            fields = _gauss_seidel_sweeps(fields, dt, p.epsilon, grid, sweeps=3)
-            res, rho, gx, gy, forcing = _interior_residual(fields, dt, p.epsilon, grid)
-            res_norm = float(np.abs(res).max())
-    else:
-        raise NonConvergence(p.max_iter, res_norm)
-    if res_norm > p.solver_tol:
-        raise NonConvergence(iterations, res_norm)
+            raise NonConvergence(iterations, res_norm)
 
     knots = [p.endpoint_a]
     knots.extend(make_potential(fields[i], grid) for i in range(1, m))
     knots.append(p.endpoint_b)
     path = PotentialPath(_frozen(p.times), tuple(knots), "solver-native")
-    return GeodesicSolution(path, res_norm, p.epsilon, iterations - 1)
+    return GeodesicSolution(path, res_norm, p.epsilon, iterations)
 
 
 def epsilon_continuation(
@@ -316,24 +267,14 @@ def hcma_residual(path: PotentialPath) -> NDArray[np.float64]:
     """
     if len(path.knots) < 3:
         raise ValueError("need at least three knots")
-    steps = np.diff(path.times)
-    if not np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
-        raise ValueError("knot times must be uniformly spaced")
-    dt = float(steps[0])
-    g = path.grid
-    f = path.fields
-    udot = (f[2:] - f[:-2]) / (2.0 * dt)
-    second = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / dt**2
-    gx, gy = dx(udot, g), dy(udot, g)
+    udot, second = centered_differences(path.fields, path.uniform_step)
+    gx, gy = gradient(udot, path.grid)
     return second * path.densities[1:-1] - 0.5 * (gx * gx + gy * gy)
 
 
 def time_convexity_margin(path: PotentialPath) -> float:
     """Min over interior knots and cells of the second time difference."""
-    steps = np.diff(path.times)
-    dt = float(steps[0])
-    f = path.fields
-    second = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / dt**2
+    _, second = centered_differences(path.fields, path.uniform_step)
     return float(second.min())
 
 
@@ -378,23 +319,6 @@ def jacobi_field(
     return (plus.path.fields - minus.path.fields) / (2.0 * delta)
 
 
-def _centered_covariant(path: PotentialPath, fields: NDArray[np.float64], lo: int, hi: int):
-    """Covariant time derivative with centered quotients at knots lo..hi-1.
-
-    fields covers knots lo-1..hi; the returned stack covers lo..hi-1, each
-    entry using only its two immediate neighbors.
-    """
-    g = path.grid
-    dt = float(path.times[1] - path.times[0])
-    xidot = (fields[2:] - fields[:-2]) / (2.0 * dt)
-    f = path.fields[lo - 1 : hi + 1]
-    udot = (f[2:] - f[:-2]) / (2.0 * dt)
-    mid = fields[1:-1]
-    rho = path.densities[lo:hi]
-    pairing = (dx(udot, g) * dx(mid, g) + dy(udot, g) * dy(mid, g)) / rho
-    return xidot - 0.5 * pairing
-
-
 def jacobi_residual(sol: GeodesicSolution, xi: NDArray[np.float64]) -> float:
     """Sup norm of the linearized geodesic equation applied to xi.
 
@@ -403,8 +327,9 @@ def jacobi_residual(sol: GeodesicSolution, xi: NDArray[np.float64]) -> float:
         rho_u grad_t^2 xi = (1/4){{udot, xi}, udot} rho_u
                             - (eps/2) div(F(u) grad xi),
 
-    with grad_t the covariant derivative realized by nested centered
-    quotients, the Poisson brackets from the grid operations, and
+    with grad_t the path's covariant derivative applied twice (its interior
+    quotients are centered, so knots 2 .. m-2 of grad_t^2 xi see no one-sided
+    edge quotient), the Poisson brackets from the grid operations, and
     F = 1/rho_u.
 
     The sup runs over knots in the middle third of the interval.  Endpoint
@@ -420,19 +345,16 @@ def jacobi_residual(sol: GeodesicSolution, xi: NDArray[np.float64]) -> float:
     if m < 4:
         raise ValueError("need at least four time intervals")
     g = path.grid
-    first = _centered_covariant(path, xi, 1, m)
-    second = _centered_covariant(path, first, 2, m - 1)
-    udot = (path.fields[3:-1] - path.fields[1:-3]) / (2.0 * float(path.times[1] - path.times[0]))
-    inner_knots = range(2, m - 1)
+    second = covariant_derivative(path, covariant_derivative(path, xi))[2 : m - 1]
+    udot = path.knot_velocity[2 : m - 1]
     bracket = np.empty_like(second)
     div_term = np.empty_like(second)
-    for j, i in enumerate(inner_knots):
+    for j, i in enumerate(range(2, m - 1)):
         u = path.knots[i]
         inner = poisson_bracket(u, udot[j], xi[i])
         bracket[j] = poisson_bracket(u, inner, udot[j])
-        flux_x = f_density(u) * dx(xi[i], g)
-        flux_y = f_density(u) * dy(xi[i], g)
-        div_term[j] = dx(flux_x, g) + dy(flux_y, g)
+        xx, xy = gradient(xi[i], g)
+        div_term[j] = dx(f_density(u) * xx, g) + dy(f_density(u) * xy, g)
     rho = path.densities[2 : m - 1]
     residual = rho * second - 0.25 * bracket * rho + 0.5 * sol.epsilon * div_term
     lo = max((m + 2) // 3, 2)

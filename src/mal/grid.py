@@ -18,8 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
+import scipy.fft
 from numpy.typing import NDArray
 
 from .errors import NotKahler
@@ -61,39 +63,71 @@ class Grid:
         return np.meshgrid(t, t, indexing="ij")
 
 
-@lru_cache(maxsize=None)
-def _wavenumbers(n: int) -> tuple[NDArray, NDArray]:
-    """Integer FFT frequencies for first derivatives (Nyquist zeroed) and full."""
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    k_first = k.copy()
-    k_first[n // 2] = 0.0  # odd-order derivative of the unpaired Nyquist mode
-    return k_first, k
+class FourierSymbols(NamedTuple):
+    """Fourier multipliers of a grid on the rfft2 half spectrum.
+
+    k: integer wavenumbers of a full axis in FFT order.  ddx, ddy: first
+    derivatives 2 pi i k, with the unpaired Nyquist mode zeroed since its odd
+    derivative has no real value.  lap: the Laplacian symbol of the grid's
+    scheme; the central one is -4 n^2 (sin^2(pi k/n) + sin^2(pi l/n)).
+    """
+
+    k: NDArray[np.float64]
+    ddx: NDArray[np.complex128]
+    ddy: NDArray[np.complex128]
+    lap: NDArray[np.float64]
+
+
+@lru_cache(maxsize=32)
+def fourier_symbols(grid: Grid) -> FourierSymbols:
+    """The grid's symbol table, built once per grid."""
+    n = grid.n
+    k, l = np.fft.fftfreq(n, d=1.0 / n), np.fft.rfftfreq(n, d=1.0 / n)
+    if grid.scheme == "spectral":
+        lap = -(4.0 * np.pi**2) * (k[:, None] ** 2 + l[None, :] ** 2)
+    else:
+        lap = -4.0 * n**2 * (np.sin(np.pi * k / n)[:, None] ** 2 + np.sin(np.pi * l / n) ** 2)
+    odd = (2j * np.pi) * np.where(np.abs(k) == n // 2, 0.0, k)
+    # rfft2 keeps l = 0 .. n/2, so ddy is odd's first n/2 + 1 entries (Nyquist last, zeroed)
+    table = FourierSymbols(k, odd[:, None], odd[None, : n // 2 + 1], lap)
+    for a in table:
+        a.setflags(write=False)
+    return table
+
+
+def _spectral(f: GridField, grid: Grid, *multipliers) -> list[GridField]:
+    """One forward real transform of f, one inverse per multiplier."""
+    n = grid.n
+    spec = scipy.fft.rfft2(f, axes=(-2, -1))
+    return [scipy.fft.irfft2(m * spec, s=(n, n), axes=(-2, -1)) for m in multipliers]
 
 
 def dx(f: GridField, grid: Grid) -> GridField:
     """Partial derivative along x (array axis -2)."""
     if grid.scheme == "spectral":
-        k_first, _ = _wavenumbers(grid.n)
-        mult = (2j * np.pi) * k_first[:, None]
-        return np.fft.ifft2(mult * np.fft.fft2(f, axes=(-2, -1)), axes=(-2, -1)).real
+        return _spectral(f, grid, fourier_symbols(grid).ddx)[0]
     return (np.roll(f, -1, axis=-2) - np.roll(f, 1, axis=-2)) * (grid.n / 2.0)
 
 
 def dy(f: GridField, grid: Grid) -> GridField:
     """Partial derivative along y (array axis -1)."""
     if grid.scheme == "spectral":
-        k_first, _ = _wavenumbers(grid.n)
-        mult = (2j * np.pi) * k_first[None, :]
-        return np.fft.ifft2(mult * np.fft.fft2(f, axes=(-2, -1)), axes=(-2, -1)).real
+        return _spectral(f, grid, fourier_symbols(grid).ddy)[0]
     return (np.roll(f, -1, axis=-1) - np.roll(f, 1, axis=-1)) * (grid.n / 2.0)
+
+
+def gradient(f: GridField, grid: Grid) -> tuple[GridField, GridField]:
+    """(dx f, dy f), sharing one forward transform under the spectral scheme."""
+    if grid.scheme == "spectral":
+        s = fourier_symbols(grid)
+        return tuple(_spectral(f, grid, s.ddx, s.ddy))
+    return dx(f, grid), dy(f, grid)
 
 
 def laplacian(f: GridField, grid: Grid) -> GridField:
     """Periodic Laplacian; annihilates constants, so the output mean is ~0."""
     if grid.scheme == "spectral":
-        _, k = _wavenumbers(grid.n)
-        mult = -(4.0 * np.pi**2) * (k[:, None] ** 2 + k[None, :] ** 2)
-        return np.fft.ifft2(mult * np.fft.fft2(f, axes=(-2, -1)), axes=(-2, -1)).real
+        return _spectral(f, grid, fourier_symbols(grid).lap)[0]
     return (
         np.roll(f, -1, axis=-2)
         + np.roll(f, 1, axis=-2)
@@ -120,8 +154,9 @@ def _frozen(a: NDArray) -> NDArray:
 class Potential:
     """Admissible potential: field together with its positive MA density.
 
-    Construct through make_potential, which computes the density and rejects
-    fields whose density is not positive everywhere.
+    Construct through make_potential, which computes the density; fields or
+    densities that are not finite, or densities not positive everywhere, are
+    rejected here.
     """
 
     grid: Grid
@@ -132,6 +167,8 @@ class Potential:
         n = self.grid.n
         if self.field.shape != (n, n) or self.density.shape != (n, n):
             raise ValueError("field and density must have shape (n, n)")
+        if not (np.isfinite(self.field).all() and np.isfinite(self.density).all()):
+            raise NotKahler(np.nan)
         m = float(self.density.min())
         if m <= 0.0:
             raise NotKahler(m)
@@ -144,16 +181,12 @@ def make_potential(f: GridField, grid: Grid) -> Potential:
     """Wrap a field as a Potential.
 
     Raises:
-        NotKahler: if min(1 + lap(f)/2) <= 0.
+        NotKahler: if f is not finite or min(1 + lap(f)/2) <= 0.
     """
     f = np.asarray(f, dtype=float)
     if f.shape != (grid.n, grid.n):
         raise ValueError(f"field shape {f.shape} does not match grid {(grid.n, grid.n)}")
-    dens = ma_density(f, grid)
-    m = float(dens.min())
-    if m <= 0.0:
-        raise NotKahler(m)
-    return Potential(grid, _frozen(f), _frozen(dens))
+    return Potential(grid, _frozen(f), _frozen(ma_density(f, grid)))
 
 
 def f_density(u: Potential) -> GridField:
@@ -161,26 +194,16 @@ def f_density(u: Potential) -> GridField:
     return 1.0 / u.density
 
 
-def grad_over_density(xi: GridField, density: GridField, grid: Grid) -> tuple[GridField, GridField]:
-    """Componentwise (dx xi, dy xi) / density; the gradient for the metric rho (dx^2 + dy^2)."""
-    return dx(xi, grid) / density, dy(xi, grid) / density
-
-
-def metric_grad(u: Potential, xi: GridField) -> tuple[GridField, GridField]:
-    """Gradient of xi in the metric of u: (dx xi, dy xi) / rho_u."""
-    return grad_over_density(xi, u.density, u.grid)
-
-
 def inner_product_du(u: Potential, xi: GridField, eta: GridField) -> GridField:
     """Pointwise cometric pairing (d xi, d eta)_u = (xi_x eta_x + xi_y eta_y) / rho_u."""
-    g = u.grid
-    return (dx(xi, g) * dx(eta, g) + dy(xi, g) * dy(eta, g)) / u.density
+    (xx, xy), (ex, ey) = gradient(xi, u.grid), gradient(eta, u.grid)
+    return (xx * ex + xy * ey) / u.density
 
 
 def poisson_bracket(u: Potential, f: GridField, g: GridField) -> GridField:
     """Poisson bracket {f, g}_u = (f_x g_y - f_y g_x) / rho_u for the symplectic form rho_u dx dy."""
-    gr = u.grid
-    return (dx(f, gr) * dy(g, gr) - dy(f, gr) * dx(g, gr)) / u.density
+    (fx, fy), (gx, gy) = gradient(f, u.grid), gradient(g, u.grid)
+    return (fx * gy - fy * gx) / u.density
 
 
 def integrate(f: GridField, u: Potential) -> float:

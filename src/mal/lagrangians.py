@@ -61,6 +61,14 @@ class Orlicz:
     def positively_homogeneous(self) -> bool:
         return False
 
+    def lipschitz_bound(self, radius: float) -> float:
+        """Lipschitz constant in the sup norm on {sup|xi| <= radius}.
+
+        The steepest sampled slope of chi on [-radius, radius].
+        """
+        t = np.linspace(-radius, radius, 129)
+        return float((np.abs(np.diff(self.chi(t))) / np.diff(t)).max())
+
     def of_weighted(self, wv: WeightedValues) -> float:
         return float(np.dot(self.chi(wv.values), wv.weights))
 
@@ -81,6 +89,10 @@ class LorentzWeak:
     @property
     def positively_homogeneous(self) -> bool:
         return True
+
+    def lipschitz_bound(self, radius: float) -> float:
+        """1 for every radius: 1-Lipschitz in the sup norm on unit mass."""
+        return 1.0
 
     def of_weighted(self, wv: WeightedValues) -> float:
         step = rearrange_values(np.abs(wv.values), wv.weights)
@@ -110,14 +122,18 @@ class Power:
     label: str = field(default="", compare=False)
 
     def __post_init__(self):
-        if self.p < 1.0:
-            raise ValueError(f"p must be >= 1, got {self.p}")
+        if not 1.0 <= self.p < np.inf:
+            raise ValueError(f"p must be finite and >= 1, got {self.p}")
         if not self.label:
             object.__setattr__(self, "label", f"power:p{self.p:g}")
 
     @property
     def positively_homogeneous(self) -> bool:
         return True
+
+    def lipschitz_bound(self, radius: float) -> float:
+        """1 for every radius: 1-Lipschitz in the sup norm on unit mass."""
+        return 1.0
 
     def of_weighted(self, wv: WeightedValues) -> float:
         s = float(np.dot(np.abs(wv.values) ** self.p, wv.weights))
@@ -146,6 +162,10 @@ class SupFamily:
     def positively_homogeneous(self) -> bool:
         return all(a == 0.0 for a, _ in self.members)
 
+    def lipschitz_bound(self, radius: float) -> float:
+        """The largest integral of |f0*| over the members, for every radius."""
+        return max(float(np.dot(np.abs(f0.levels), np.diff(f0.bounds))) for _, f0 in self.members)
+
     def of_weighted(self, wv: WeightedValues) -> float:
         return max(a + hardy_littlewood_sup(f0, wv) for a, f0 in self.members)
 
@@ -153,37 +173,9 @@ class SupFamily:
 LagrangianSpec = Orlicz | LorentzWeak | Power | SupFamily
 
 
-def evaluate_weighted(spec: LagrangianSpec, wv: WeightedValues) -> float:
-    """Evaluate a Lagrangian on distribution data directly."""
-    return spec.of_weighted(wv)
-
-
 def evaluate(spec: LagrangianSpec, u: Potential, xi: GridField) -> float:
     """Evaluate a Lagrangian on a tangent field at u."""
     return spec.of_weighted(WeightedValues.from_field(np.asarray(xi, dtype=float), u))
-
-
-def is_positively_homogeneous(spec: LagrangianSpec) -> bool:
-    return spec.positively_homogeneous
-
-
-def lipschitz_bound(spec: LagrangianSpec, radius: float) -> float:
-    """Analytic Lipschitz constant of L in the sup norm on {sup|xi| <= radius}.
-
-    Power and LorentzWeak are 1-Lipschitz on unit-mass spaces; SupFamily is
-    bounded by the largest integral of |f0*|; for Orlicz the bound is the
-    steepest sampled slope of chi on [-radius, radius].
-    """
-    if isinstance(spec, (Power, LorentzWeak)):
-        return 1.0
-    if isinstance(spec, SupFamily):
-        bound = 0.0
-        for _, f0 in spec.members:
-            bound = max(bound, float(np.dot(np.abs(f0.levels), np.diff(f0.bounds))))
-        return bound
-    t = np.linspace(-radius, radius, 129)
-    slopes = np.abs(np.diff(spec.chi(t))) / np.diff(t)
-    return float(slopes.max())
 
 
 @dataclass(frozen=True)
@@ -222,7 +214,7 @@ def check_invariance(
     vb = spec.of_weighted(wb)
     disc = abs(va - vb)
     radius = max(1.0, float(np.abs(xi).max()), float(np.abs(eta).max()))
-    threshold = tol * max(1.0, lipschitz_bound(spec, radius))
+    threshold = tol * max(1.0, spec.lipschitz_bound(radius))
     return CheckReport(
         name="invariance",
         passed=disc <= threshold,

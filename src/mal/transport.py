@@ -23,7 +23,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import NonConvergence, NotKahler, StepUnstable
-from .grid import Grid, GridField, Potential, _frozen, dx, dy, make_potential
+from .grid import Grid, GridField, Potential, _frozen, fourier_symbols, gradient, make_potential
 
 INTERPOLATIONS = ("piecewise-linear", "solver-native")
 
@@ -52,7 +52,7 @@ def spectral_interp(field: GridField, px: GridField, py: GridField) -> GridField
     """Evaluate the trigonometric interpolant of a grid field at arbitrary points."""
     n = field.shape[-1]
     coef = np.fft.fft2(field) / n**2
-    k = np.fft.fftfreq(n, d=1.0 / n)
+    k = fourier_symbols(Grid(n)).k
     shape = px.shape
     ex = np.exp(2j * np.pi * np.outer(px.ravel(), k))
     ey = np.exp(2j * np.pi * np.outer(py.ravel(), k))
@@ -98,9 +98,8 @@ class TransportMap:
 
     @classmethod
     def from_displacement(cls, grid: Grid, disp_x: GridField, disp_y: GridField) -> "TransportMap":
-        jac = (1.0 + dx(disp_x, grid)) * (1.0 + dy(disp_y, grid)) - dy(disp_x, grid) * dx(
-            disp_y, grid
-        )
+        (ax, ay), (bx, by) = gradient(disp_x, grid), gradient(disp_y, grid)
+        jac = (1.0 + ax) * (1.0 + by) - ay * bx
         return cls(grid, _frozen(disp_x), _frozen(disp_y), _frozen(jac))
 
 
@@ -203,6 +202,47 @@ class PotentialPath:
     def densities(self) -> NDArray[np.float64]:
         return np.stack([k.density for k in self.knots])
 
+    @property
+    def uniform_step(self) -> float:
+        """The common knot spacing; ValueError unless the knots are uniformly spaced."""
+        steps = np.diff(self.times)
+        if not np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
+            raise ValueError("knot times must be uniformly spaced")
+        return float(steps[0])
+
+    def time_derivative(self, stack: NDArray[np.float64]) -> NDArray[np.float64]:
+        """Per-knot time derivative of a knot stack, differenced as the path is.
+
+        Piecewise-linear paths take the right quotient at every knot and the
+        left quotient at the final one; solver-native paths take 2nd-order
+        gradients.
+        """
+        if self.interpolation == "piecewise-linear":
+            quot = _interval_quotients(stack, self.times)
+            return np.concatenate([quot, quot[-1:]], axis=0)
+        return np.gradient(stack, self.times, axis=0, edge_order=2)
+
+    @cached_property
+    def interval_velocity(self) -> NDArray[np.float64]:
+        """One difference quotient (u_{i+1} - u_i) / (t_{i+1} - t_i) per interval."""
+        return _frozen(_interval_quotients(self.fields, self.times))
+
+    @cached_property
+    def knot_velocity(self) -> NDArray[np.float64]:
+        """One velocity field per knot, by time_derivative."""
+        return _frozen(self.time_derivative(self.fields))
+
+
+def _interval_quotients(stack: NDArray[np.float64], times: NDArray[np.float64]) -> NDArray[np.float64]:
+    return np.diff(stack, axis=0) / np.diff(times)[:, None, None]
+
+
+def centered_differences(stack: NDArray[np.float64], dt: float) -> tuple[NDArray, NDArray]:
+    """Centered first and second time differences at the interior knots of a uniform stack."""
+    first = (stack[2:] - stack[:-2]) / (2.0 * dt)
+    second = (stack[2:] - 2.0 * stack[1:-1] + stack[:-2]) / dt**2
+    return first, second
+
 
 def linear_path(
     u_a: Potential, u_b: Potential, t_start: float, t_end: float, intervals: int
@@ -234,41 +274,21 @@ class PathVelocity:
 
 def velocity(path: PotentialPath) -> PathVelocity:
     """Velocity of a path by the differencing matching its interpolation."""
-    f = path.fields
-    t = path.times
     if path.interpolation == "piecewise-linear":
-        quot = np.diff(f, axis=0) / np.diff(t)[:, None, None]
-        return PathVelocity(_frozen(t[:-1]), _frozen(quot), "interval")
-    return PathVelocity(_frozen(t), _frozen(np.gradient(f, t, axis=0, edge_order=2)), "knot")
-
-
-def knot_velocities(path: PotentialPath) -> NDArray[np.float64]:
-    """Per-knot velocity fields regardless of interpolation.
-
-    Piecewise-linear paths use the right quotient at every knot and the left
-    quotient at the final one.
-    """
-    v = velocity(path)
-    if v.kind == "knot":
-        return v.fields
-    return np.concatenate([v.fields, v.fields[-1:]], axis=0)
+        return PathVelocity(_frozen(path.times[:-1]), path.interval_velocity, "interval")
+    return PathVelocity(_frozen(path.times), path.knot_velocity, "knot")
 
 
 def _interval_velocity_fields(path: PotentialPath):
     """Transported vector field -(1/2) grad udot at both ends of each interval."""
-    g = path.grid
     dens = path.densities
     if path.interpolation == "piecewise-linear":
-        quot = np.diff(path.fields, axis=0) / np.diff(path.times)[:, None, None]
-        fx, fy = dx(quot, g), dy(quot, g)
-        wxl, wyl = -0.5 * fx / dens[:-1], -0.5 * fy / dens[:-1]
-        wxr, wyr = -0.5 * fx / dens[1:], -0.5 * fy / dens[1:]
-    else:
-        vel = np.gradient(path.fields, path.times, axis=0, edge_order=2)
-        wx = -0.5 * dx(vel, g) / dens
-        wy = -0.5 * dy(vel, g) / dens
-        wxl, wyl, wxr, wyr = wx[:-1], wy[:-1], wx[1:], wy[1:]
-    return wxl, wyl, wxr, wyr
+        fx, fy = gradient(path.interval_velocity, path.grid)
+        left, right = dens[:-1], dens[1:]
+        return -0.5 * fx / left, -0.5 * fy / left, -0.5 * fx / right, -0.5 * fy / right
+    fx, fy = gradient(path.knot_velocity, path.grid)
+    wx, wy = -0.5 * fx / dens, -0.5 * fy / dens
+    return wx[:-1], wy[:-1], wx[1:], wy[1:]
 
 
 def _advance_rk4(px, py, sample, t0, dt):
@@ -349,29 +369,18 @@ def covariant_derivative(path: PotentialPath, fields: NDArray[np.float64]) -> ND
     fields = np.asarray(fields, dtype=float)
     if fields.shape != path.fields.shape:
         raise ValueError("field stack must provide one field per knot")
-    g = path.grid
-    t = path.times
-    if path.interpolation == "piecewise-linear":
-        def ddt(a):
-            quot = np.diff(a, axis=0) / np.diff(t)[:, None, None]
-            return np.concatenate([quot, quot[-1:]], axis=0)
-
-        udot = ddt(path.fields)
-        xidot = ddt(fields)
-    else:
-        udot = np.gradient(path.fields, t, axis=0, edge_order=2)
-        xidot = np.gradient(fields, t, axis=0, edge_order=2)
-    pairing = (dx(udot, g) * dx(fields, g) + dy(udot, g) * dy(fields, g)) / path.densities
-    return xidot - 0.5 * pairing
+    (ux, uy), (vx, vy) = gradient(path.knot_velocity, path.grid), gradient(fields, path.grid)
+    pairing = (ux * vx + uy * vy) / path.densities
+    return path.time_derivative(fields) - 0.5 * pairing
 
 
 def _hamiltonian_fields(zeta_frames: NDArray[np.float64], u: Potential):
     """sgrad zeta = (-zeta_y, zeta_x)/rho_u for each time frame."""
-    g = u.grid
     z = np.asarray(zeta_frames, dtype=float)
     if z.ndim == 2:
         z = z[None]
-    return -dy(z, g) / u.density, dx(z, g) / u.density
+    zx, zy = gradient(z, u.grid)
+    return -zy / u.density, zx / u.density
 
 
 def symplectic_flow(zeta_frames: NDArray[np.float64], u: Potential, substeps: int = 16) -> TransportMap:

@@ -22,7 +22,6 @@ from mal.lagrangians import (
     Orlicz,
     Power,
     SupFamily,
-    evaluate_weighted,
 )
 from mal.rearrangement import (
     decreasing_rearrangement,
@@ -218,8 +217,8 @@ def test_04_lagrangian_invariance_under_permutation_and_transfer():
             _, w = dyadic_weighted(rng, k)
             vals = rng.standard_normal(k) * 2.0
             perm = rng.permutation(k)
-            va = evaluate_weighted(spec, WeightedValues.from_arrays(vals, w))
-            vb = evaluate_weighted(spec, WeightedValues.from_arrays(vals[perm], w[perm]))
+            va = spec.of_weighted(WeightedValues.from_arrays(vals, w))
+            vb = spec.of_weighted(WeightedValues.from_arrays(vals[perm], w[perm]))
             worst_perm = max(worst_perm, abs(va - vb) / max(1.0, abs(va)))
             count_perm += 1
 
@@ -235,8 +234,8 @@ def test_04_lagrangian_invariance_under_permutation_and_transfer():
         tm = theta_map(WeightedValues.from_field(rng.standard_normal((8, 8)), v))
         transferred = tm.pullback(star)
         for spec in specs:
-            va = evaluate_weighted(spec, wa)
-            vb = evaluate_weighted(spec, transferred)
+            va = spec.of_weighted(wa)
+            vb = spec.of_weighted(transferred)
             worst_transfer = max(worst_transfer, abs(va - vb) / max(1.0, abs(va)))
             count_transfer += 1
 

@@ -8,12 +8,15 @@ import pytest
 
 from mal.cli import (
     ConfigError,
+    _concavity_control,
     build_fixture,
     main,
     parse_config,
     parse_lagrangian,
 )
+from mal.grid import Grid, make_potential
 from mal.lagrangians import LorentzWeak, Orlicz, Power, SupFamily
+from mal.transport import linear_path
 
 BASE_CONFIG = """\
 [grid]
@@ -91,6 +94,9 @@ class TestParseLagrangian:
             parse_lagrangian("lorentz:a1.5", tmp_path)
         with pytest.raises(ConfigError):
             parse_lagrangian("supfam:missing.json", tmp_path)
+        for text in ("power:pnan", "power:pinf", "lorentz:anan"):
+            with pytest.raises(ConfigError):
+                parse_lagrangian(text, tmp_path)
 
 
 class TestParseConfig:
@@ -127,9 +133,10 @@ class TestParseConfig:
             parse_config(str(path))
 
     def test_bad_duration(self, tmp_path):
-        path = write_config(tmp_path, **{"duration = 1.0": "duration = -1.0"})
-        with pytest.raises(ConfigError, match=r"\[geodesic\] duration"):
-            parse_config(str(path))
+        for bad in ("-1.0", "nan", "inf", "-inf"):
+            path = write_config(tmp_path, **{"duration = 1.0": f"duration = {bad}"})
+            with pytest.raises(ConfigError, match=r"\[geodesic\] duration"):
+                parse_config(str(path))
 
     def test_bad_fixture_kind(self, tmp_path):
         path = write_config(tmp_path, **{"kind = constants": "kind = pyramid"})
@@ -197,9 +204,19 @@ class TestSolve:
         assert eps == sorted(eps, reverse=True)
 
     def test_malformed_config_exits_three(self, tmp_path, capsys):
-        path = write_config(tmp_path, **{"n = 8": "n = -8"})
-        assert main(["solve", "--config", str(path)]) == 3
-        assert "[grid]" in capsys.readouterr().err
+        constants = "kind = constants\nstart = 0.0\nend = 1.0"
+        band_limited = "kind = band-limited\namplitude = "
+        cases = [
+            ({"n = 8": "n = -8"}, "[grid]"),
+            ({"epsilon = 0.1": "epsilon = nan"}, "[geodesic] epsilon"),
+            ({"start = 0.0": "start = inf"}, "[fixture] start"),
+            ({constants: band_limited + "nan"}, "[fixture] amplitude"),
+            ({constants: band_limited + "inf"}, "[fixture] amplitude"),
+        ]
+        for replacements, section in cases:
+            path = write_config(tmp_path, **replacements)
+            assert main(["solve", "--config", str(path)]) == 3
+            assert section in capsys.readouterr().err
 
     def test_byte_determinism(self, tmp_path):
         p1 = write_config(tmp_path, "one.ini")
@@ -268,6 +285,27 @@ class TestVerify:
         assert len(records) == 6
         assert all(rec["pass"] for rec in records)
 
+    def test_jacobi_control_discriminates_at_readme_resolution(self, tmp_path):
+        # the README example: n = 32 and time_steps = 32 shrink the control's margin to ~5e-3
+        path = band_limited_config(tmp_path, **{"n = 8": "n = 32", "time_steps = 8": "time_steps = 32"})
+        assert main(["verify", "--config", str(path), "--suite", "jacobi-convexity"]) == 0
+        control = [rec for rec in read_records(tmp_path) if rec["check"] == "negative-control"]
+        assert control[0]["pass"] and control[0]["tolerance"] == 0.5 / 32**2
+
+    def test_jacobi_control_fails_on_convex_data(self):
+        g = Grid(16)
+        u = make_potential(np.zeros((16, 16)), g)
+        x, _ = g.coords()
+        shape = 1.0 + 0.1 * np.cos(2.0 * np.pi * x)
+        for steps in (2, 8, 32, 128):
+            path = linear_path(u, u, 0.0, 1.0, steps)
+            s = path.times[:, None, None]
+            margin, bound = _concavity_control(Power(1.0), path, np.sin(np.pi * s) * shape)
+            assert margin > bound
+            for convex in ((s - 0.5) ** 2, s, np.zeros_like(s)):
+                margin, bound = _concavity_control(Power(1.0), path, convex * shape)
+                assert not margin > bound
+
     def test_action_convexity_suite(self, tmp_path):
         path = band_limited_config(tmp_path)
         assert main(["verify", "--config", str(path), "--suite", "action-convexity"]) == 0
@@ -327,8 +365,9 @@ class TestRearrange:
         assert code == 3
 
     def test_malformed_row_exits_three(self, tmp_path):
-        code, _ = self.run(tmp_path, [(1,)])
-        assert code == 3
+        for rows in ([(1,)], [("nan", 0.5), (2, 0.5)], [(1, "inf"), (2, 0.5)], [(1, "nan"), (2, 0.5)]):
+            code, _ = self.run(tmp_path, rows)
+            assert code == 3
 
     def test_missing_file_exits_three(self, tmp_path):
         code = main(["rearrange", "--in", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o.csv")])

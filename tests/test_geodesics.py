@@ -1,8 +1,11 @@
 """Tests for the regularized geodesic solver and its vanishing limit."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from mal import geodesics
 from mal.errors import NonConvergence, PerturbationTooLarge
 from mal.fixtures import random_potential
 from mal.geodesics import (
@@ -164,6 +167,35 @@ class TestGenericSolves:
         with pytest.raises(NonConvergence) as err:
             solve_epsilon_geodesic(p)
         assert err.value.residual > 0.0
+
+    def test_converges_on_the_last_allowed_step(self):
+        """A solve needing k Newton steps succeeds at max_iter = k, not only at k + 1."""
+        g = Grid(16)
+        rng = np.random.default_rng(15)
+        p = EpsGeodesicProblem(
+            random_potential(g, rng), random_potential(g, rng), (0.0, 1.0), 1.0, time_steps=16
+        )
+        k = solve_epsilon_geodesic(p).iterations
+        assert k >= 2
+        sol = solve_epsilon_geodesic(replace(p, max_iter=k))
+        assert sol.iterations == k and sol.residual_norm <= p.solver_tol
+        with pytest.raises(NonConvergence) as err:
+            solve_epsilon_geodesic(replace(p, max_iter=k - 1))
+        assert err.value.iterations == k - 1
+
+    def test_line_search_without_decrease_raises(self, monkeypatch):
+        def zero_step(op, rhs, **kwargs):
+            return np.zeros_like(rhs), 0
+
+        monkeypatch.setattr(geodesics, "lgmres", zero_step)
+        g = Grid(16)
+        rng = np.random.default_rng(15)
+        p = EpsGeodesicProblem(
+            random_potential(g, rng), random_potential(g, rng), (0.0, 1.0), 1.0, time_steps=8
+        )
+        with pytest.raises(NonConvergence) as err:
+            solve_epsilon_geodesic(p)
+        assert err.value.iterations == 1 and err.value.residual > p.solver_tol
 
     def test_native_stencil_velocity_identity(self, scheme):
         """With the solver's own stencils, grad_t udot = eps F(u) to solver tol."""

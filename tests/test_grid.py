@@ -5,16 +5,16 @@ from mal.errors import NotKahler
 from mal.fixtures import random_potential
 from mal.grid import (
     Grid,
+    Potential,
     WeightedValues,
     dx,
     dy,
     f_density,
-    grad_over_density,
+    gradient,
     inner_product_du,
     integrate,
     laplacian,
     make_potential,
-    metric_grad,
     poisson_bracket,
 )
 
@@ -103,6 +103,18 @@ class TestPotential:
             u = random_potential(Grid(n, scheme), rng, 0.03)
             assert abs(u.density.mean() - 1.0) <= 10 * EPS
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_cell_rejected(self, scheme, bad):
+        g = Grid(16, scheme)
+        f = np.zeros((16, 16))
+        f[3, 5] = bad
+        with pytest.raises(NotKahler):
+            make_potential(f, g)
+        with pytest.raises(NotKahler):
+            Potential(g, f, np.ones((16, 16)))
+        with pytest.raises(NotKahler):
+            Potential(g, np.zeros((16, 16)), np.where(f == 0.0, 1.0, bad))
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             make_potential(np.zeros((8, 8)), Grid(16))
@@ -129,13 +141,15 @@ class TestFDensity:
 
 
 class TestMetricGrad:
+    """The gradient of xi in the metric of u is gradient(xi) / rho_u."""
+
     def test_constant_field(self, flat32):
-        gx, gy = metric_grad(flat32, np.full((32, 32), 4.0))
+        gx, gy = (d / flat32.density for d in gradient(np.full((32, 32), 4.0), flat32.grid))
         assert np.abs(gx).max() < 1e-12 and np.abs(gy).max() < 1e-12
 
     def test_siny_flat(self, grid32, flat32):
         _, y = grid32.coords()
-        gx, gy = metric_grad(flat32, np.sin(2.0 * np.pi * y))
+        gx, gy = (d / flat32.density for d in gradient(np.sin(2.0 * np.pi * y), grid32))
         assert np.abs(gx).max() < 1e-10
         assert np.abs(gy - 2.0 * np.pi * np.cos(2.0 * np.pi * y)).max() < 1e-10
 
@@ -143,10 +157,50 @@ class TestMetricGrad:
         rng = np.random.default_rng(3)
         xi = rng.standard_normal((32, 32))
         rho = 1.0 + 0.3 * np.cos(2.0 * np.pi * grid32.coords()[0])
-        g1 = grad_over_density(xi, rho, grid32)
-        g2 = grad_over_density(xi, 2.0 * rho, grid32)
-        for a, b in zip(g1, g2):
-            assert np.abs(0.5 * a - b).max() < 1e-12
+        for d in gradient(xi, grid32):
+            assert np.abs(0.5 * (d / rho) - d / (2.0 * rho)).max() < 1e-12
+
+
+def reference_derivatives(f, n, scheme):
+    """(dx, dy, laplacian) by complex FFTs or explicit np.roll stencils."""
+    if scheme == "central":
+        fx = (np.roll(f, -1, axis=-2) - np.roll(f, 1, axis=-2)) * (n / 2.0)
+        fy = (np.roll(f, -1, axis=-1) - np.roll(f, 1, axis=-1)) * (n / 2.0)
+        lap = (
+            np.roll(f, -1, axis=-2) + np.roll(f, 1, axis=-2)
+            + np.roll(f, -1, axis=-1) + np.roll(f, 1, axis=-1) - 4.0 * f
+        ) * float(n**2)
+        return fx, fy, lap
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    odd = np.where(np.abs(k) == n // 2, 0.0, k)  # no real odd derivative of the Nyquist mode
+    spec = np.fft.fft2(f, axes=(-2, -1))
+
+    def apply(mult):
+        return np.fft.ifft2(mult * spec, axes=(-2, -1)).real
+
+    return (
+        apply(2j * np.pi * odd[:, None]),
+        apply(2j * np.pi * odd[None, :]),
+        apply(-4.0 * np.pi**2 * (k[:, None] ** 2 + k[None, :] ** 2)),
+    )
+
+
+class TestDerivativesAgainstReference:
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_matches_reference(self, scheme, n):
+        g = Grid(n, scheme)
+        f = np.random.default_rng(n).standard_normal((3, n, n))  # full spectrum, Nyquist included
+        ref_x, ref_y, ref_lap = reference_derivatives(f, n, scheme)
+        gx, gy = gradient(f, g)
+        assert np.array_equal(gx, dx(f, g)) and np.array_equal(gy, dy(f, g))
+        got = {"dx": dx(f, g), "dy": dy(f, g), "lap": laplacian(f, g), "gx": gx, "gy": gy}
+        want = {"dx": ref_x, "dy": ref_y, "lap": ref_lap, "gx": ref_x, "gy": ref_y}
+        for name, value in got.items():
+            if scheme == "central":
+                assert np.array_equal(value, want[name]), name
+            else:
+                tol = 1e-12 * np.abs(ref_lap).max()
+                assert np.abs(value - want[name]).max() <= tol, name
 
 
 class TestInnerProduct:

@@ -16,9 +16,6 @@ from mal.lagrangians import (
     check_strong_continuity,
     estimate_lipschitz,
     evaluate,
-    evaluate_weighted,
-    is_positively_homogeneous,
-    lipschitz_bound,
 )
 from mal.rearrangement import StepFunction, decreasing_rearrangement, theta_map
 
@@ -56,8 +53,9 @@ class TestSpecValidation:
             LorentzWeak(alpha)
 
     def test_power_range(self):
-        with pytest.raises(ValueError):
-            Power(0.5)
+        for p in (0.5, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                Power(p)
 
     def test_supfamily_needs_members(self):
         with pytest.raises(ValueError):
@@ -70,11 +68,11 @@ class TestSpecValidation:
 
     def test_homogeneity_flags(self):
         ones = StepFunction(np.array([0.0, 1.0]), np.array([1.0]))
-        assert is_positively_homogeneous(LorentzWeak(0.5))
-        assert is_positively_homogeneous(Power(2.0))
-        assert is_positively_homogeneous(SupFamily(((0.0, ones),)))
-        assert not is_positively_homogeneous(SupFamily(((0.5, ones),)))
-        assert not is_positively_homogeneous(CHI_SQUARE)
+        assert LorentzWeak(0.5).positively_homogeneous
+        assert Power(2.0).positively_homogeneous
+        assert SupFamily(((0.0, ones),)).positively_homogeneous
+        assert not SupFamily(((0.5, ones),)).positively_homogeneous
+        assert not CHI_SQUARE.positively_homogeneous
 
 
 class TestEvaluate:
@@ -110,7 +108,7 @@ class TestEvaluate:
         for _ in range(50):
             values, weights = dyadic_weighted(rng, int(rng.integers(1, 10)), value_span=8)
             wv = WeightedValues.from_arrays(values, weights)
-            direct = evaluate_weighted(CHI_SQUARE, wv)
+            direct = CHI_SQUARE.of_weighted(wv)
             r = decreasing_rearrangement(wv)
             by_steps = float(np.dot(r.levels**2, np.diff(r.bounds)))
             assert direct == by_steps
@@ -181,7 +179,7 @@ class TestInvariance:
         wb = theta_v.pullback(decreasing_rearrangement(wa))
         ones = StepFunction(np.array([0.0, 1.0]), np.array([1.0]))
         for spec in (CHI_SQUARE, LorentzWeak(0.5), Power(2.0), SupFamily(((0.0, ones),))):
-            disc = abs(evaluate_weighted(spec, wa) - evaluate_weighted(spec, wb))
+            disc = abs(spec.of_weighted(wa) - spec.of_weighted(wb))
             assert disc <= 1e-9
 
     def test_not_equidistributed_raises(self):
@@ -258,7 +256,7 @@ class TestLipschitz:
         ones = StepFunction(np.array([0.0, 1.0]), np.array([1.0]))
         for spec in (CHI_SQUARE, LorentzWeak(0.4), Power(2.0), SupFamily(((0.1, ones),))):
             est = estimate_lipschitz(spec, 1.5, trials=15, seed=3)
-            assert est <= lipschitz_bound(spec, 1.5) + 1e-9
+            assert est <= spec.lipschitz_bound(1.5) + 1e-9
 
 
 class TestStrongContinuity:
