@@ -41,6 +41,7 @@ from .lagrangians import (
     Orlicz,
     Power,
     SupFamily,
+    VerificationReport,
     evaluate,
 )
 from .rearrangement import (
@@ -81,7 +82,6 @@ from .geodesics import (
 from .action import (
     ActionReport,
     LeastActionQuery,
-    VerificationReport,
     competitor_paths,
     connecting_geodesic,
     least_action,

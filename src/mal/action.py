@@ -12,12 +12,13 @@ competitors, which turns the minimization into a solve.  Randomized
 piecewise-linear competitor paths act as upper-bound witnesses in the
 verification experiments, never as the estimator.
 
-The verification operations return VerificationReports for the structural
-facts: convexity of L along Jacobi fields, the triangle comparison for
-positively homogeneous L, constancy of L(udot) along weak geodesics, the
-principle of least action, convexity of t -> least_action(u(t), v(t)) for two
-weak geodesics, and continuity of least action under decreasing endpoint
-approximation.  Every suite pairs with a negative control in the tests.
+The verification operations return the VerificationReport of
+mal.lagrangians for the structural facts: convexity of L along Jacobi fields,
+the triangle comparison for positively homogeneous L, constancy of L(udot)
+along weak geodesics, the principle of least action, convexity of
+t -> least_action(u(t), v(t)) for two weak geodesics, and continuity of least
+action under decreasing endpoint approximation.  Every suite pairs with a
+negative control in the tests.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .geodesics import (
     weak_geodesic,
 )
 from .grid import Potential, WeightedValues, make_potential
-from .lagrangians import LagrangianSpec, evaluate
+from .lagrangians import LagrangianSpec, VerificationReport, evaluate
 from .rearrangement import decreasing_rearrangement, step_l1_distance
 from .transport import PotentialPath
 
@@ -80,30 +81,6 @@ class LeastActionQuery:
             raise ValueError(f"duration must be positive, got {self.duration}")
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of one theorem-verification experiment.
-
-    passed is exactly (worst <= tolerance); provenance records the inputs
-    (seeds, resolutions, solver knobs) needed to reproduce the run.
-    """
-
-    experiment: str
-    passed: bool
-    worst: float
-    tolerance: float
-    provenance: dict
-
-    def __post_init__(self):
-        if self.passed != (self.worst <= self.tolerance):
-            raise ValueError("passed must agree with worst <= tolerance")
-
-
-def _report(experiment: str, worst: float, tolerance: float, provenance: dict) -> VerificationReport:
-    worst = float(worst)
-    return VerificationReport(experiment, worst <= tolerance, worst, float(tolerance), provenance)
 
 
 def path_action(spec: LagrangianSpec, path: PotentialPath) -> ActionReport:
@@ -225,7 +202,7 @@ def verify_least_action(
     ):
         margins.append(path_action(q.spec, comp).value - g_action)
     worst = max(0.0, -min(margins))
-    return _report(
+    return VerificationReport(
         "least-action",
         worst,
         tol,
@@ -285,7 +262,7 @@ def verify_comparison_inequality(
         leg_values.append(evaluate(spec, apex, sol.path.knot_velocity[0]))
     lhs = path_action(spec, path).value / leg_duration
     margin = lhs - (leg_values[1] - leg_values[0])
-    return _report(
+    return VerificationReport(
         "comparison-inequality",
         max(0.0, -margin),
         tol,
@@ -323,7 +300,7 @@ def verify_noether(
     for i in range(len(steps)):
         for j in range(i + 1, len(steps)):
             pairwise = max(pairwise, step_l1_distance(steps[i], steps[j]))
-    return _report(
+    return VerificationReport(
         "noether-constancy",
         max(spread, pairwise),
         tol,
@@ -380,7 +357,7 @@ def verify_jacobi_convexity(
     if field is None:
         field = jacobi_field(problem, direction_a, direction_b, delta)
     worst = max(0.0, midpoint_convexity_margin(spec, solution.path, field))
-    return _report(
+    return VerificationReport(
         "jacobi-convexity",
         worst,
         tol,
@@ -440,7 +417,7 @@ def verify_action_convexity(
         )
         vals.append(least_action(q))
     worst = max(0.0, midpoint_excess(vals))
-    return _report(
+    return VerificationReport(
         "action-convexity",
         worst,
         tol,
@@ -466,13 +443,16 @@ def verify_least_action_continuity(
     time_steps: int = 16,
     continuation_tol: float = 1e-5,
     solver_tol: float = 1e-8,
+    geodesic: PotentialPath | None = None,
 ) -> VerificationReport:
     """Continuity of least action under decreasing endpoint approximation.
 
     The endpoint sequences must decrease pointwise to the limits from above.
     The violation measure is the larger of the final discrepancy
     |value_last - limit value| and the net increase of the discrepancy over
-    the sequence, so a tail that grows fails even when it ends small.
+    the sequence, so a tail that grows fails even when it ends small.  A
+    precomputed weak geodesic between the limits may be supplied for the
+    limit value, as in least_action.
     """
     if len(start_seq) != len(end_seq) or not start_seq:
         raise ValueError("endpoint sequences must be non-empty and of equal length")
@@ -484,17 +464,17 @@ def verify_least_action_continuity(
         if float((limit.field - seq[-1].field).max()) > slack:
             raise ValueError("endpoint sequences must dominate their limit")
 
-    def value(w, w_prime):
+    def value(w, w_prime, path=None):
         q = LeastActionQuery(
             w, w_prime, duration, spec,
             tol=continuation_tol, time_steps=time_steps, solver_tol=solver_tol,
         )
-        return least_action(q)
+        return least_action(q, path)
 
-    limit_value = value(start, end)
+    limit_value = value(start, end, geodesic)
     discrepancies = [abs(value(a, b) - limit_value) for a, b in zip(start_seq, end_seq)]
     worst = max(discrepancies[-1], discrepancies[-1] - discrepancies[0])
-    return _report(
+    return VerificationReport(
         "least-action-continuity",
         worst,
         tol,

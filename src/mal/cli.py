@@ -13,7 +13,7 @@ JSON-lines records with a fixed key set plus a details sidecar carrying the
 full provenance.  Exit codes: 0 success, 1 verification violation, 2 solver
 failure, 3 config error.  Every verify suite runs a negative control, a
 deliberately false instance whose record passes only when the underlying
-check fails.  MAL_THREADS caps BLAS/FFT worker threads (0 = automatic).
+check fails.
 """
 
 from __future__ import annotations
@@ -24,16 +24,15 @@ import csv
 import hashlib
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from .action import (
     LeastActionQuery,
-    connecting_geodesic,
     midpoint_convexity_margin,
     midpoint_excess,
     path_action,
@@ -60,19 +59,10 @@ from .lagrangians import (
     Orlicz,
     Power,
     SupFamily,
+    VerificationReport,
 )
 from .rearrangement import StepFunction, rearrange_values
 from .transport import PotentialPath, linear_path
-
-SUITES = (
-    "noether",
-    "least-action",
-    "comparison",
-    "jacobi-convexity",
-    "action-convexity",
-    "continuity",
-)
-
 
 class ConfigError(ValueError):
     """Configuration file is malformed; the message names the field."""
@@ -316,32 +306,6 @@ def cmd_solve(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _record(cfg, suite, check, value, tolerance, passed, epsilon):
-    return {
-        "experiment": suite,
-        "check": check,
-        "value": float(value),
-        "tolerance": float(tolerance),
-        "pass": bool(passed),
-        "seed": cfg.seed,
-        "N": cfg.grid.n,
-        "time_steps": cfg.time_steps,
-        "epsilon": epsilon,
-        "config_hash": cfg.config_hash,
-    }
-
-
-def _bump_detour(start: Potential, end: Potential, duration: float) -> PotentialPath:
-    """Piecewise-linear detour through a bumped midpoint, never a geodesic."""
-    g = start.grid
-    x, y = g.coords()
-    bump = 0.01 * (np.cos(2.0 * np.pi * x) + np.sin(2.0 * np.pi * y))
-    mid = make_potential(0.5 * (start.field + end.field) + bump, g)
-    times = np.array([0.0, 0.5 * duration, duration])
-    times.setflags(write=False)
-    return PotentialPath(times, (start, mid, end), "piecewise-linear")
-
-
 def _concavity_control(spec: LagrangianSpec, path: PotentialPath, fields) -> tuple[float, float]:
     """Midpoint-convexity margin of fields along path, and the bound it must exceed.
 
@@ -354,141 +318,145 @@ def _concavity_control(spec: LagrangianSpec, path: PotentialPath, fields) -> tup
     return midpoint_convexity_margin(spec, path, fields), 0.5 * h * h
 
 
-def _suite_records(cfg: ExperimentConfig, suite: str) -> tuple[list[dict], dict]:
-    """Primary and negative-control records for one verification suite."""
-    start, end = build_fixture(cfg)
-    spec = cfg.lagrangian
-    tol = cfg.tolerance
-    records = []
-    details = {}
+@dataclass(frozen=True, eq=False)
+class VerifyRun:
+    """Inputs the suites of one verify run share, each computed on first use."""
 
-    if suite == "noether":
-        path = weak_geodesic(
-            start, end, (0.0, cfg.duration), cfg.continuation_tol, cfg.time_steps, cfg.solver_tol
-        )
-        report = verify_noether(spec, path, tol)
-        records.append(_record(cfg, suite, "primary", report.worst, tol, report.passed, 0.0))
-        control = verify_noether(spec, _bump_detour(start, end, cfg.duration), tol=1e-6)
-        records.append(
-            _record(cfg, suite, "negative-control", control.worst, 1e-6, not control.passed, 0.0)
-        )
-        details = {"primary": report.provenance, "negative-control": control.provenance}
+    cfg: ExperimentConfig
+    start: Potential
+    end: Potential
 
-    elif suite == "least-action":
-        q = LeastActionQuery(
-            start, end, cfg.duration, spec,
-            tol=cfg.continuation_tol, time_steps=cfg.time_steps, solver_tol=cfg.solver_tol,
+    @cached_property
+    def geodesic(self) -> PotentialPath:
+        cfg = self.cfg
+        return weak_geodesic(
+            self.start, self.end, (0.0, cfg.duration),
+            cfg.continuation_tol, cfg.time_steps, cfg.solver_tol,
         )
-        geodesic = connecting_geodesic(q)
-        report = verify_least_action(q, cfg.count, cfg.seed, tol, geodesic=geodesic)
-        records.append(_record(cfg, suite, "primary", report.worst, tol, report.passed, 0.0))
-        control = verify_least_action(
-            q, cfg.count, cfg.seed, tol, geodesic=_bump_detour(start, end, cfg.duration)
-        )
-        records.append(
-            _record(cfg, suite, "negative-control", control.worst, tol, not control.passed, 0.0)
-        )
-        details = {"primary": report.provenance, "negative-control": control.provenance}
 
-    elif suite == "comparison":
-        if not spec.positively_homogeneous:
-            raise ConfigError(
-                "[lagrangian] spec: the comparison suite needs a positively homogeneous form"
-            )
-        rng = np.random.default_rng(cfg.seed)
-        apex = random_potential(cfg.grid, rng, amplitude=0.02)
-        path = linear_path(start, end, 0.0, cfg.duration, 4)
-        report = verify_comparison_inequality(
-            spec, path, apex, tol=tol, epsilon=cfg.epsilon,
+    @cached_property
+    def detour(self) -> PotentialPath:
+        """Piecewise-linear detour through a bumped midpoint, never a geodesic."""
+        g = self.cfg.grid
+        x, y = g.coords()
+        bump = 0.01 * (np.cos(2.0 * np.pi * x) + np.sin(2.0 * np.pi * y))
+        mid = make_potential(0.5 * (self.start.field + self.end.field) + bump, g)
+        times = np.array([0.0, 0.5 * self.cfg.duration, self.cfg.duration])
+        times.setflags(write=False)
+        return PotentialPath(times, (self.start, mid, self.end), "piecewise-linear")
+
+
+def _noether(run: VerifyRun) -> tuple[VerificationReport, VerificationReport]:
+    spec = run.cfg.lagrangian
+    return (
+        verify_noether(spec, run.geodesic, run.cfg.tolerance),
+        verify_noether(spec, run.detour, tol=1e-6),
+    )
+
+
+def _least_action(run: VerifyRun) -> tuple[VerificationReport, VerificationReport]:
+    cfg = run.cfg
+    q = LeastActionQuery(
+        run.start, run.end, cfg.duration, cfg.lagrangian,
+        tol=cfg.continuation_tol, time_steps=cfg.time_steps, solver_tol=cfg.solver_tol,
+    )
+    return tuple(
+        verify_least_action(q, cfg.count, cfg.seed, cfg.tolerance, geodesic=path)
+        for path in (run.geodesic, run.detour)
+    )
+
+
+def _comparison(run: VerifyRun) -> tuple[VerificationReport, VerificationReport]:
+    cfg = run.cfg
+    if not cfg.lagrangian.positively_homogeneous:
+        raise ConfigError(
+            "[lagrangian] spec: the comparison suite needs a positively homogeneous form"
+        )
+    apex = random_potential(cfg.grid, np.random.default_rng(cfg.seed), amplitude=0.02)
+
+    def compare(path):
+        return verify_comparison_inequality(
+            cfg.lagrangian, path, apex, tol=cfg.tolerance, epsilon=cfg.epsilon,
             time_steps=cfg.time_steps, solver_tol=cfg.solver_tol,
         )
-        records.append(
-            _record(cfg, suite, "primary", report.worst, tol, report.passed, cfg.epsilon)
-        )
-        # false hypothesis: a costly detour keeps the margin below 1e-2
-        control = verify_comparison_inequality(
-            spec, _bump_detour(start, end, cfg.duration), apex, tol=tol,
-            epsilon=cfg.epsilon, time_steps=cfg.time_steps, solver_tol=cfg.solver_tol,
-        )
-        detour_margin = control.provenance["margin"]
-        records.append(
-            _record(cfg, suite, "negative-control", detour_margin, 1e-2, detour_margin > 1e-2, cfg.epsilon)
-        )
-        details = {"primary": report.provenance, "negative-control": control.provenance}
 
-    elif suite == "jacobi-convexity":
-        x, y = cfg.grid.coords()
-        d_a = 0.02 * np.cos(2.0 * np.pi * x)
-        d_b = 0.02 * np.sin(2.0 * np.pi * y)
-        problem = EpsGeodesicProblem(
-            start, end, (0.0, cfg.duration), cfg.epsilon, cfg.time_steps, cfg.solver_tol
-        )
-        report = verify_jacobi_convexity(spec, problem, d_a, d_b, tol=max(tol, 1e-4))
-        records.append(
-            _record(cfg, suite, "primary", report.worst, report.tolerance, report.passed, cfg.epsilon)
-        )
-        sol = solve_epsilon_geodesic(problem)
-        t = problem.times
-        concave = np.sin(np.pi * (t - t[0]) / (t[-1] - t[0]))[:, None, None] * (
-            1.0 + 0.1 * np.cos(2.0 * np.pi * x)
-        )
-        margin, bound = _concavity_control(spec, sol.path, concave)
-        records.append(
-            _record(cfg, suite, "negative-control", margin, bound, margin > bound, cfg.epsilon)
-        )
-        details = {"primary": report.provenance, "negative-control": {"margin": margin}}
+    report = compare(linear_path(run.start, run.end, 0.0, cfg.duration, 4))
+    # false hypothesis: a costly detour keeps the margin below 1e-2
+    detour = compare(run.detour)
+    return report, VerificationReport(
+        detour.experiment, detour.provenance["margin"], 1e-2, detour.provenance
+    )
 
-    elif suite == "action-convexity":
-        u_path = weak_geodesic(
-            start, end, (0.0, cfg.duration), cfg.continuation_tol, cfg.time_steps, cfg.solver_tol
-        )
-        rng = np.random.default_rng(cfg.seed + 1)
-        v_path = weak_geodesic(
-            random_potential(cfg.grid, rng, amplitude=0.02),
-            random_potential(cfg.grid, rng, amplitude=0.02),
-            (0.0, cfg.duration), cfg.continuation_tol, cfg.time_steps, cfg.solver_tol,
-        )
-        stride = max(1, cfg.time_steps // 8)
-        samples = u_path.times[::stride]
-        report = verify_action_convexity(
-            spec, u_path, v_path, cfg.duration, samples, tol,
-            time_steps=max(8, cfg.time_steps // 2), continuation_tol=cfg.continuation_tol,
-        )
-        records.append(_record(cfg, suite, "primary", report.worst, tol, report.passed, 0.0))
-        # vacuity guard: a synthetic concave sequence at the same sample
-        # times must register a violation of the expected h^2 size
-        s = np.asarray(samples, dtype=float)
-        margin = midpoint_excess(-((s - s.mean()) ** 2))
-        h = float(s[1] - s[0])
-        records.append(
-            _record(cfg, suite, "negative-control", margin, 0.5 * h * h, margin > 0.5 * h * h, 0.0)
-        )
-        details = {"primary": report.provenance, "negative-control": {"margin": margin}}
 
-    elif suite == "continuity":
-        g = cfg.grid
-        shifts = (0.04, 0.01, 0.0025)
-        seq_a = [make_potential(start.field + s, g) for s in shifts]
-        seq_b = [make_potential(end.field + s, g) for s in shifts]
-        report = verify_least_action_continuity(
-            spec, seq_a, seq_b, start, end, cfg.duration, tol,
+def _jacobi_convexity(run: VerifyRun) -> tuple[VerificationReport, VerificationReport]:
+    cfg = run.cfg
+    x, y = cfg.grid.coords()
+    problem = EpsGeodesicProblem(
+        run.start, run.end, (0.0, cfg.duration), cfg.epsilon, cfg.time_steps, cfg.solver_tol
+    )
+    sol = solve_epsilon_geodesic(problem)
+    report = verify_jacobi_convexity(
+        cfg.lagrangian, problem, 0.02 * np.cos(2.0 * np.pi * x), 0.02 * np.sin(2.0 * np.pi * y),
+        tol=max(cfg.tolerance, 1e-4), solution=sol,
+    )
+    t = problem.times
+    concave = np.sin(np.pi * (t - t[0]) / (t[-1] - t[0]))[:, None, None] * (
+        1.0 + 0.1 * np.cos(2.0 * np.pi * x)
+    )
+    margin, bound = _concavity_control(cfg.lagrangian, sol.path, concave)
+    return report, VerificationReport(report.experiment, margin, bound, {"margin": margin})
+
+
+def _action_convexity(run: VerifyRun) -> tuple[VerificationReport, VerificationReport]:
+    cfg = run.cfg
+    rng = np.random.default_rng(cfg.seed + 1)
+    v_path = weak_geodesic(
+        random_potential(cfg.grid, rng, amplitude=0.02),
+        random_potential(cfg.grid, rng, amplitude=0.02),
+        (0.0, cfg.duration), cfg.continuation_tol, cfg.time_steps, cfg.solver_tol,
+    )
+    samples = run.geodesic.times[:: max(1, cfg.time_steps // 8)]
+    report = verify_action_convexity(
+        cfg.lagrangian, run.geodesic, v_path, cfg.duration, samples, cfg.tolerance,
+        time_steps=max(8, cfg.time_steps // 2), continuation_tol=cfg.continuation_tol,
+        solver_tol=cfg.solver_tol,
+    )
+    # vacuity guard: a synthetic concave sequence at the same sample
+    # times must register a violation of the expected h^2 size
+    s = np.asarray(samples, dtype=float)
+    margin = midpoint_excess(-((s - s.mean()) ** 2))
+    h = float(s[1] - s[0])
+    return report, VerificationReport(report.experiment, margin, 0.5 * h * h, {"margin": margin})
+
+
+def _continuity(run: VerifyRun) -> tuple[VerificationReport, VerificationReport]:
+    cfg = run.cfg
+    shifts = (0.04, 0.01, 0.0025)
+    seq_b = [make_potential(run.end.field + s, cfg.grid) for s in shifts]
+
+    def converges(seq_a):
+        return verify_least_action_continuity(
+            cfg.lagrangian, seq_a, seq_b, run.start, run.end, cfg.duration, cfg.tolerance,
             time_steps=cfg.time_steps, continuation_tol=cfg.continuation_tol,
+            solver_tol=cfg.solver_tol, geodesic=run.geodesic,
         )
-        records.append(_record(cfg, suite, "primary", report.worst, tol, report.passed, 0.0))
+
+    return (
+        converges([make_potential(run.start.field + s, cfg.grid) for s in shifts]),
         # false hypothesis: a sequence stuck away from the limit converges
-        stuck = [make_potential(start.field + 0.2, g)] * 3
-        control = verify_least_action_continuity(
-            spec, stuck, seq_b, start, end, cfg.duration, tol,
-            time_steps=cfg.time_steps, continuation_tol=cfg.continuation_tol,
-        )
-        records.append(
-            _record(cfg, suite, "negative-control", control.worst, tol, not control.passed, 0.0)
-        )
-        details = {"primary": report.provenance, "negative-control": control.provenance}
+        converges([make_potential(run.start.field + 0.2, cfg.grid)] * 3),
+    )
 
-    else:
-        raise ConfigError(f"--suite: unknown suite {suite!r}")
-    return records, details
+
+# Each suite maps the run to its (primary, negative-control) reports.
+SUITES = {
+    "noether": _noether,
+    "least-action": _least_action,
+    "comparison": _comparison,
+    "jacobi-convexity": _jacobi_convexity,
+    "action-convexity": _action_convexity,
+    "continuity": _continuity,
+}
 
 
 def _jsonable(obj):
@@ -506,12 +474,26 @@ def cmd_verify(cfg: ExperimentConfig, suites: list[str]) -> int:
     for s in suites:
         if s not in SUITES:
             raise ConfigError(f"--suite: unknown suite {s!r}, valid: {', '.join(SUITES)}")
+    run = VerifyRun(cfg, *build_fixture(cfg))
+    shared = {"seed": cfg.seed, "N": cfg.grid.n, "time_steps": cfg.time_steps,
+              "config_hash": cfg.config_hash}
     records = []
     all_details = {}
     for s in suites:
-        recs, details = _suite_records(cfg, s)
-        records.extend(recs)
-        all_details[s] = details
+        primary, control = SUITES[s](run)
+        # only the suites that solve at a fixed epsilon record one
+        epsilon = primary.provenance.get("epsilon", 0.0)
+        # a negative control is a false instance: its record passes when its check fails
+        for check, report, passed in (
+            ("primary", primary, primary.passed),
+            ("negative-control", control, not control.passed),
+        ):
+            records.append({
+                **shared, "experiment": s, "check": check, "epsilon": epsilon,
+                "value": float(report.worst), "tolerance": float(report.tolerance),
+                "pass": bool(passed),
+            })
+        all_details[s] = {"primary": primary.provenance, "negative-control": control.provenance}
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     with (cfg.out_dir / "records.jsonl").open("w") as fh:
         for rec in records:
@@ -559,21 +541,6 @@ def cmd_rearrange(in_path: str, out_path: str) -> int:
     return 0
 
 
-def _apply_thread_cap() -> None:
-    raw = os.environ.get("MAL_THREADS", "")
-    if not raw:
-        return
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ConfigError(f"MAL_THREADS: cannot parse {raw!r}") from None
-    if cap < 0:
-        raise ConfigError("MAL_THREADS: must be >= 0")
-    if cap > 0:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(cap)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="mal", description="Geodesic and least-action laboratory on the flat 2-torus"
@@ -590,7 +557,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        _apply_thread_cap()
         if args.command == "rearrange":
             return cmd_rearrange(args.in_path, args.out_path)
         cfg = parse_config(args.config)

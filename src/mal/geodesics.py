@@ -40,7 +40,7 @@ from .grid import (
     make_potential,
     poisson_bracket,
 )
-from .lagrangians import CheckReport
+from .lagrangians import VerificationReport
 from .transport import PotentialPath, centered_differences, covariant_derivative
 
 _LINE_SEARCH_HALVINGS = 30
@@ -370,13 +370,13 @@ def monotone_limit_check(
     tol: float = 1e-6,
     interval: tuple[float, float] = (0.0, 1.0),
     time_steps: int = 32,
-) -> CheckReport:
+) -> VerificationReport:
     """Decreasing endpoint sequences should give pointwise decreasing geodesics.
 
     Solves the weak geodesic for each endpoint pair and for the limit pair,
-    then reports the worst monotonicity margin (most negative pointwise drop
-    between consecutive paths and against the limit path) and the final
-    sup-distance to the limit.
+    then reports max(0, -min margin), the margins being the pointwise drops
+    between consecutive paths and against the limit path, and records the
+    violation count and the final sup-distance to the limit.
     """
     if len(u_a_seq) != len(u_b_seq) or not u_a_seq:
         raise ValueError("need matching nonempty endpoint sequences")
@@ -392,21 +392,23 @@ def monotone_limit_check(
         weak_geodesic(a, b, interval, tol, time_steps) for a, b in zip(u_a_seq, u_b_seq)
     ]
     limit_path = weak_geodesic(u_a, u_b, interval, tol, time_steps)
-    worst = np.inf
+    min_margin = np.inf
     violations = 0
     for earlier, later in zip(paths, paths[1:]):
         margin = float((earlier.fields - later.fields).min())
-        worst = min(worst, margin)
+        min_margin = min(min_margin, margin)
         violations += int(margin < -tol)
     for path in paths:
         margin = float((path.fields - limit_path.fields).min())
-        worst = min(worst, margin)
+        min_margin = min(min_margin, margin)
         violations += int(margin < -tol)
-    final_gap = sup_distance(paths[-1], limit_path)
-    return CheckReport(
-        name="monotone-limit",
-        passed=violations == 0,
-        worst=worst,
-        tolerance=tol,
-        details={"violations": violations, "final_sup_distance": final_gap},
+    return VerificationReport(
+        "monotone-limit",
+        max(0.0, -min_margin),
+        tol,
+        {
+            "min_margin": min_margin,
+            "violations": violations,
+            "final_sup_distance": sup_distance(paths[-1], limit_path),
+        },
     )

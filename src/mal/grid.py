@@ -186,6 +186,8 @@ def make_potential(f: GridField, grid: Grid) -> Potential:
     f = np.asarray(f, dtype=float)
     if f.shape != (grid.n, grid.n):
         raise ValueError(f"field shape {f.shape} does not match grid {(grid.n, grid.n)}")
+    if not np.isfinite(f).all():
+        raise NotKahler(np.nan)
     return Potential(grid, _frozen(f), _frozen(ma_density(f, grid)))
 
 

@@ -15,6 +15,7 @@ structural rather than asserted.  Variants:
 The property checks (invariance, fiber convexity, an empirical Lipschitz
 constant on bounded sets, strong continuity under vanishing-mass perturbation)
 are the testable surface for the structural facts the Lagrangians must obey.
+They return VerificationReport, the one report type of every check in mal.
 """
 
 from __future__ import annotations
@@ -179,14 +180,21 @@ def evaluate(spec: LagrangianSpec, u: Potential, xi: GridField) -> float:
 
 
 @dataclass(frozen=True)
-class CheckReport:
-    """Outcome of an empirical property check."""
+class VerificationReport:
+    """Outcome of one property check or theorem-verification experiment.
 
-    name: str
-    passed: bool
+    passed is exactly (worst <= tolerance); provenance records the inputs
+    (seeds, resolutions, solver knobs) needed to reproduce the run.
+    """
+
+    experiment: str
     worst: float
     tolerance: float
-    details: dict
+    provenance: dict
+
+    @property
+    def passed(self) -> bool:
+        return self.worst <= self.tolerance
 
 
 def check_invariance(
@@ -196,7 +204,7 @@ def check_invariance(
     v: Potential,
     eta: GridField,
     tol: float = 1e-9,
-) -> CheckReport:
+) -> VerificationReport:
     """Compare evaluate on two equidistributed (field, potential) pairs.
 
     The pass threshold is tol amplified by the Lipschitz bound at the data's
@@ -215,13 +223,7 @@ def check_invariance(
     disc = abs(va - vb)
     radius = max(1.0, float(np.abs(xi).max()), float(np.abs(eta).max()))
     threshold = tol * max(1.0, spec.lipschitz_bound(radius))
-    return CheckReport(
-        name="invariance",
-        passed=disc <= threshold,
-        worst=disc,
-        tolerance=threshold,
-        details={"value_a": va, "value_b": vb},
-    )
+    return VerificationReport("invariance", disc, threshold, {"value_a": va, "value_b": vb})
 
 
 def check_fiber_convexity(
@@ -231,7 +233,7 @@ def check_fiber_convexity(
     eta: GridField,
     samples: int = 8,
     seed: int = 0,
-) -> CheckReport:
+) -> VerificationReport:
     """Midpoint and random convex-combination inequality on one fiber."""
     tol = 1e-12
     lx = evaluate(spec, u, xi)
@@ -241,13 +243,7 @@ def check_fiber_convexity(
     for lam in lambdas:
         mixed = evaluate(spec, u, lam * xi + (1.0 - lam) * eta)
         worst = max(worst, mixed - (lam * lx + (1.0 - lam) * ly))
-    return CheckReport(
-        name="fiber-convexity",
-        passed=worst <= tol,
-        worst=float(worst),
-        tolerance=tol,
-        details={"samples": len(lambdas)},
-    )
+    return VerificationReport("fiber-convexity", float(worst), tol, {"samples": len(lambdas)})
 
 
 def estimate_lipschitz(
@@ -300,7 +296,7 @@ def check_strong_continuity(
     perturbations: Sequence[GridField],
     tol: float = 1e-3,
     tol_mass: float = 1e-3,
-) -> CheckReport:
+) -> VerificationReport:
     """Evaluate differences along a vanishing-support perturbation schedule.
 
     Each perturbed field differs from xi on a cell set whose mu_u-mass m_k
@@ -315,11 +311,9 @@ def check_strong_continuity(
         masses.append(float(weights[np.asarray(pert) != xi].sum()))
         diffs.append(abs(evaluate(spec, u, pert) - base))
     small = [d for m, d in zip(masses, diffs) if m < tol_mass]
-    passed = bool(small) and max(small) <= tol
-    return CheckReport(
-        name="strong-continuity",
-        passed=passed,
-        worst=max(small) if small else np.inf,
-        tolerance=tol,
-        details={"masses": masses, "differences": diffs},
+    return VerificationReport(
+        "strong-continuity",
+        max(small) if small else np.inf,
+        tol,
+        {"masses": masses, "differences": diffs},
     )

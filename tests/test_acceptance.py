@@ -478,7 +478,7 @@ def test_12_monotone_endpoint_limits():
     b_seq = [base_b] * len(shifts)
 
     rep = monotone_limit_check(a_seq, b_seq, base_a, base_b, tol=1e-6, time_steps=16)
-    knot_gap = rep.details["final_sup_distance"]
+    knot_gap = rep.provenance["final_sup_distance"]
 
     values = []
     for a in [*a_seq, base_a]:

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import mal.geodesics
 from mal.cli import (
     ConfigError,
     _concavity_control,
@@ -306,6 +307,39 @@ class TestVerify:
                 margin, bound = _concavity_control(Power(1.0), path, convex * shape)
                 assert not margin > bound
 
+    def test_all_suites_share_one_fixture_geodesic(self, tmp_path, monkeypatch):
+        path = band_limited_config(tmp_path)
+        start, end = build_fixture(parse_config(str(path)))
+        continuation = mal.geodesics.epsilon_continuation
+        fixture_calls = []
+
+        def spy(u_a, u_b, *args, **kwargs):
+            if np.array_equal(u_a.field, start.field) and np.array_equal(u_b.field, end.field):
+                fixture_calls.append(args)
+            return continuation(u_a, u_b, *args, **kwargs)
+
+        monkeypatch.setattr(mal.geodesics, "epsilon_continuation", spy)
+        suites = "noether,least-action,comparison,jacobi-convexity,action-convexity,continuity"
+        assert main(["verify", "--config", str(path), "--suite", suites]) == 0
+        records = read_records(tmp_path)
+        assert len(records) == 12
+        assert all(rec["pass"] for rec in records)
+        assert len(fixture_calls) == 1
+
+    def test_suites_honour_solver_tol(self, tmp_path, monkeypatch):
+        path = band_limited_config(tmp_path, **{"solver_tol = 1e-8": "solver_tol = 1e-9"})
+        solve = mal.geodesics.solve_epsilon_geodesic
+        tolerances = []
+
+        def spy(problem, *args, **kwargs):
+            tolerances.append(problem.solver_tol)
+            return solve(problem, *args, **kwargs)
+
+        monkeypatch.setattr(mal.geodesics, "solve_epsilon_geodesic", spy)
+        code = main(["verify", "--config", str(path), "--suite", "action-convexity,continuity"])
+        assert code == 0
+        assert tolerances and set(tolerances) == {1e-9}
+
     def test_action_convexity_suite(self, tmp_path):
         path = band_limited_config(tmp_path)
         assert main(["verify", "--config", str(path), "--suite", "action-convexity"]) == 0
@@ -373,25 +407,3 @@ class TestRearrange:
         code = main(["rearrange", "--in", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o.csv")])
         assert code == 3
 
-
-class TestThreadCap:
-    def test_invalid_cap_exits_three(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("MAL_THREADS", "many")
-        assert main(["solve", "--config", str(write_config(tmp_path))]) == 3
-        assert "MAL_THREADS" in capsys.readouterr().err
-
-    def test_cap_exports_thread_limits(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MAL_THREADS", "2")
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        assert main(["solve", "--config", str(write_config(tmp_path))]) == 0
-        import os
-
-        assert os.environ["OMP_NUM_THREADS"] == "2"
-
-    def test_zero_means_auto(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MAL_THREADS", "0")
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        assert main(["solve", "--config", str(write_config(tmp_path))]) == 0
-        import os
-
-        assert "OMP_NUM_THREADS" not in os.environ

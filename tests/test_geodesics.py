@@ -449,7 +449,7 @@ class TestMonotoneLimit:
             tol=1e-5, time_steps=8,
         )
         assert report.passed
-        assert report.details["final_sup_distance"] < 0.2
+        assert report.provenance["final_sup_distance"] < 0.2
 
     def test_stationary_sequences(self):
         g = Grid(16)
@@ -458,8 +458,8 @@ class TestMonotoneLimit:
         u_b = random_potential(g, rng)
         report = monotone_limit_check([u_a, u_a], [u_b, u_b], u_a, u_b, tol=1e-5, time_steps=8)
         assert report.passed
-        assert report.details["violations"] == 0
-        assert report.details["final_sup_distance"] < 1e-10
+        assert report.provenance["violations"] == 0
+        assert report.provenance["final_sup_distance"] < 1e-10
 
     def test_band_limited_with_vanishing_constants(self):
         g = Grid(16)

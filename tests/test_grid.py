@@ -103,6 +103,7 @@ class TestPotential:
             u = random_potential(Grid(n, scheme), rng, 0.03)
             assert abs(u.density.mean() - 1.0) <= 10 * EPS
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_cell_rejected(self, scheme, bad):
         g = Grid(16, scheme)

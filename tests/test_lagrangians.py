@@ -165,7 +165,7 @@ class TestInvariance:
         for spec in (CHI_SQUARE, LorentzWeak(0.5), Power(2.0)):
             rep = check_invariance(spec, u, xi, u, eta)
             assert rep.passed
-            assert rep.worst <= 1e-12 * max(1.0, abs(rep.details["value_a"]))
+            assert rep.worst <= 1e-12 * max(1.0, abs(rep.provenance["value_a"]))
 
     def test_theta_transfer_between_potentials(self):
         rng = np.random.default_rng(9)
@@ -277,8 +277,8 @@ class TestStrongContinuity:
             rep = check_strong_continuity(
                 CHI_SQUARE, u, xi, [pert], tol=1.0, tol_mass=1.0
             )
-            diffs.append(rep.details["differences"][0])
-            assert rep.details["masses"][0] == pytest.approx(1.0 / n**2, rel=1e-12)
+            diffs.append(rep.provenance["differences"][0])
+            assert rep.provenance["masses"][0] == pytest.approx(1.0 / n**2, rel=1e-12)
         assert diffs[0] > diffs[1] > diffs[2]
 
     def test_lorentz_mass_power_bound(self):
@@ -291,5 +291,5 @@ class TestStrongContinuity:
             rep = check_strong_continuity(
                 LorentzWeak(alpha), u, xi, [pert], tol=1.0, tol_mass=1.0
             )
-            mass = rep.details["masses"][0]
-            assert rep.details["differences"][0] <= mass ** (1.0 - alpha) + 1e-12
+            mass = rep.provenance["masses"][0]
+            assert rep.provenance["differences"][0] <= mass ** (1.0 - alpha) + 1e-12
