@@ -28,7 +28,6 @@ from .grid import (
     WeightedValues,
     dx,
     dy,
-    f_density,
     gradient,
     inner_product_du,
     integrate,
@@ -55,7 +54,6 @@ from .rearrangement import (
     theta_map,
 )
 from .transport import (
-    PathVelocity,
     PotentialPath,
     TransportMap,
     composition_scheme,
@@ -64,7 +62,6 @@ from .transport import (
     pullback,
     symplectic_flow,
     transport_flow,
-    velocity,
 )
 from .geodesics import (
     EpsGeodesicProblem,

@@ -33,6 +33,7 @@ from .fixtures import random_band_limited
 from .geodesics import (
     EpsGeodesicProblem,
     jacobi_field,
+    require_decreasing_to,
     solve_epsilon_geodesic,
     weak_geodesic,
 )
@@ -182,24 +183,21 @@ def verify_least_action(
     count: int = 20,
     seed: int = 0,
     tol: float = 5e-3,
-    knot_budget: int = 4,
     amplitude: float = 0.05,
     geodesic: PotentialPath | None = None,
 ) -> VerificationReport:
     """Check that no random competitor beats the connecting weak geodesic.
 
     The worst violation is max(0, geodesic action - competitor action) over
-    the generated competitors; the margin distribution is recorded.  The
-    tolerance absorbs the first-order right-endpoint quadrature bias of
-    piecewise-linear competitor actions, which scales with the competitor
-    knot amplitude.
+    the generated competitors, each with competitor_paths' default of four
+    interior knots; the margin distribution is recorded.  The tolerance
+    absorbs the first-order right-endpoint quadrature bias of piecewise-linear
+    competitor actions, which scales with the competitor knot amplitude.
     """
     path = connecting_geodesic(q) if geodesic is None else geodesic
     g_action = path_action(q.spec, path).value
     margins = []
-    for comp in competitor_paths(
-        q.start, q.end, q.duration, count, seed, knot_budget, amplitude
-    ):
+    for comp in competitor_paths(q.start, q.end, q.duration, count, seed, amplitude=amplitude):
         margins.append(path_action(q.spec, comp).value - g_action)
     worst = max(0.0, -min(margins))
     return VerificationReport(
@@ -209,7 +207,7 @@ def verify_least_action(
         {
             "seed": seed,
             "count": count,
-            "knot_budget": knot_budget,
+            "knot_budget": 4,
             "amplitude": amplitude,
             "n": q.start.grid.n,
             "scheme": q.start.grid.scheme,
@@ -225,7 +223,6 @@ def verify_comparison_inequality(
     spec: LagrangianSpec,
     path: PotentialPath,
     apex: Potential,
-    leg_duration: float = 1.0,
     tol: float = 5e-3,
     epsilon: float = 1e-2,
     time_steps: int = 16,
@@ -233,10 +230,10 @@ def verify_comparison_inequality(
 ) -> VerificationReport:
     """Triangle comparison for positively homogeneous Lagrangians.
 
-    Solves the two epsilon-geodesic legs from the apex to the endpoints of
-    the path and checks
+    Solves the two epsilon-geodesic legs over [0, 1] from the apex to the
+    endpoints of the path and checks
 
-        action(path) / leg_duration >= L(leg_end_velocity) - L(leg_start_velocity)
+        action(path) >= L(leg_end_velocity) - L(leg_start_velocity)
 
     with both leg velocities taken at the apex end.  The inequality is exact
     for every epsilon > 0, so a single moderate epsilon suffices.  When the
@@ -255,13 +252,10 @@ def verify_comparison_inequality(
         if np.array_equal(apex.field, endpoint.field):
             leg_values.append(evaluate(spec, apex, np.zeros_like(apex.field)))
             continue
-        p = EpsGeodesicProblem(
-            apex, endpoint, (0.0, leg_duration), epsilon, time_steps, solver_tol
-        )
+        p = EpsGeodesicProblem(apex, endpoint, (0.0, 1.0), epsilon, time_steps, solver_tol)
         sol = solve_epsilon_geodesic(p)
         leg_values.append(evaluate(spec, apex, sol.path.knot_velocity[0]))
-    lhs = path_action(spec, path).value / leg_duration
-    margin = lhs - (leg_values[1] - leg_values[0])
+    margin = path_action(spec, path).value - (leg_values[1] - leg_values[0])
     return VerificationReport(
         "comparison-inequality",
         max(0.0, -margin),
@@ -270,7 +264,7 @@ def verify_comparison_inequality(
             "n": apex.grid.n,
             "scheme": apex.grid.scheme,
             "epsilon": epsilon,
-            "leg_duration": leg_duration,
+            "leg_duration": 1.0,
             "time_steps": time_steps,
             "margin": margin,
             "leg_values": tuple(leg_values),
@@ -454,15 +448,7 @@ def verify_least_action_continuity(
     precomputed weak geodesic between the limits may be supplied for the
     limit value, as in least_action.
     """
-    if len(start_seq) != len(end_seq) or not start_seq:
-        raise ValueError("endpoint sequences must be non-empty and of equal length")
-    slack = 1e-12
-    for seq, limit in ((start_seq, start), (end_seq, end)):
-        for prev, cur in zip(seq, seq[1:]):
-            if float((cur.field - prev.field).max()) > slack:
-                raise ValueError("endpoint sequences must decrease pointwise")
-        if float((limit.field - seq[-1].field).max()) > slack:
-            raise ValueError("endpoint sequences must dominate their limit")
+    require_decreasing_to(start_seq, end_seq, start, end)
 
     def value(w, w_prime, path=None):
         q = LeastActionQuery(

@@ -1,9 +1,8 @@
-"""Reusable smooth test fields and admissible potentials.
+"""Seeded band-limited test fields and admissible potentials.
 
-Deterministic fixtures are sums over a fixed table of low Fourier modes, so an
-amplitude list fully determines the field on any grid.  Seeded variants draw
-band-limited fields from a caller-supplied generator and rescale them to keep
-the Monge-Ampere density safely positive.
+Fields are random trigonometric sums over the low Fourier modes, drawn from a
+caller-supplied generator; potentials rescale them to keep the Monge-Ampere
+density at least 1/2.
 """
 
 from __future__ import annotations
@@ -11,31 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import Grid, GridField, Potential, laplacian, make_potential
-
-# (kx, ky, use_sine); a fixed basis so amplitude lists are portable across grids
-MODE_TABLE = (
-    (1, 0, False),
-    (0, 1, False),
-    (1, 1, True),
-    (2, 0, False),
-    (0, 2, True),
-    (2, 1, False),
-    (1, 2, True),
-    (3, 0, True),
-)
-
-
-def band_limited(grid: Grid, amplitudes) -> GridField:
-    """Deterministic field sum_j amp_j * trig(2 pi (kx x + ky y)) over MODE_TABLE."""
-    amplitudes = np.atleast_1d(np.asarray(amplitudes, dtype=float))
-    if amplitudes.size > len(MODE_TABLE):
-        raise ValueError(f"at most {len(MODE_TABLE)} amplitudes supported")
-    x, y = grid.coords()
-    f = np.zeros((grid.n, grid.n))
-    for amp, (kx, ky, use_sine) in zip(amplitudes, MODE_TABLE):
-        phase = 2.0 * np.pi * (kx * x + ky * y)
-        f += amp * (np.sin(phase) if use_sine else np.cos(phase))
-    return f
 
 
 def random_band_limited(
@@ -57,20 +31,12 @@ def random_band_limited(
     return f * (amplitude / sup)
 
 
-def admissible_scaled(grid: Grid, f: GridField, margin: float = 0.5) -> Potential:
-    """Scale f so its density stays >= margin, then wrap as a Potential."""
-    lap_min = float(laplacian(f, grid).min())
-    if lap_min < -2.0 * (1.0 - margin):
-        f = f * (2.0 * (1.0 - margin) / -lap_min)
-    return make_potential(f, grid)
-
-
 def random_potential(
-    grid: Grid,
-    rng: np.random.Generator,
-    amplitude: float = 0.02,
-    margin: float = 0.5,
-    max_mode: int = 3,
+    grid: Grid, rng: np.random.Generator, amplitude: float = 0.02, max_mode: int = 3
 ) -> Potential:
-    """Seeded random potential with density bounded away from zero."""
-    return admissible_scaled(grid, random_band_limited(grid, rng, amplitude, max_mode), margin)
+    """Seeded random potential, scaled so its density stays >= 1/2."""
+    f = random_band_limited(grid, rng, amplitude, max_mode)
+    lap_min = float(laplacian(f, grid).min())
+    if lap_min < -1.0:
+        f = f * (1.0 / -lap_min)
+    return make_potential(f, grid)

@@ -33,7 +33,6 @@ from .grid import (
     _frozen,
     dx,
     dy,
-    f_density,
     fourier_symbols,
     gradient,
     laplacian,
@@ -44,6 +43,7 @@ from .lagrangians import VerificationReport
 from .transport import PotentialPath, centered_differences, covariant_derivative
 
 _LINE_SEARCH_HALVINGS = 30
+_MAX_LEVELS = 60
 
 
 @dataclass(frozen=True)
@@ -229,22 +229,22 @@ def epsilon_continuation(
     tol: float = 1e-6,
     time_steps: int = 32,
     solver_tol: float = 1e-8,
-    max_levels: int = 60,
 ) -> list[GeodesicSolution]:
     """Warm-started solves along the halving schedule epsilon = 1, 1/2, 1/4, ...
 
-    Stops once successive solutions differ by less than tol in sup norm.
+    Stops once successive solutions differ by less than tol in sup norm;
+    raises NonConvergence if 60 halvings leave the gap above tol.
     """
     problem = EpsGeodesicProblem(u_a, u_b, interval, 1.0, time_steps, solver_tol)
     sols = [solve_epsilon_geodesic(problem)]
-    for _ in range(max_levels):
+    for _ in range(_MAX_LEVELS):
         problem = replace(problem, epsilon=problem.epsilon / 2.0)
         nxt = solve_epsilon_geodesic(problem, initial=sols[-1].path.fields)
         gap = float(np.abs(nxt.path.fields - sols[-1].path.fields).max())
         sols.append(nxt)
         if gap < tol:
             return sols
-    raise NonConvergence(max_levels, gap)
+    raise NonConvergence(_MAX_LEVELS, gap)
 
 
 def weak_geodesic(
@@ -354,12 +354,27 @@ def jacobi_residual(sol: GeodesicSolution, xi: NDArray[np.float64]) -> float:
         inner = poisson_bracket(u, udot[j], xi[i])
         bracket[j] = poisson_bracket(u, inner, udot[j])
         xx, xy = gradient(xi[i], g)
-        div_term[j] = dx(f_density(u) * xx, g) + dy(f_density(u) * xy, g)
+        f = 1.0 / u.density
+        div_term[j] = dx(f * xx, g) + dy(f * xy, g)
     rho = path.densities[2 : m - 1]
     residual = rho * second - 0.25 * bracket * rho + 0.5 * sol.epsilon * div_term
     lo = max((m + 2) // 3, 2)
     hi = min((2 * m) // 3, m - 2)
     return float(np.abs(residual[lo - 2 : hi - 1]).max())
+
+
+def require_decreasing_to(a_seq, b_seq, a: Potential, b: Potential) -> None:
+    """ValueError unless both endpoint sequences are non-empty and of equal
+    length, decrease pointwise, and dominate their limits a and b."""
+    if len(a_seq) != len(b_seq) or not a_seq:
+        raise ValueError("endpoint sequences must be non-empty and of equal length")
+    slack = 1e-12
+    for seq, limit in ((a_seq, a), (b_seq, b)):
+        for earlier, later in zip(seq, seq[1:]):
+            if float((earlier.field - later.field).min()) < -slack:
+                raise ValueError("endpoint sequences must decrease pointwise")
+        if float((seq[-1].field - limit.field).min()) < -slack:
+            raise ValueError("endpoint sequences must dominate their limit")
 
 
 def monotone_limit_check(
@@ -368,30 +383,20 @@ def monotone_limit_check(
     u_a: Potential,
     u_b: Potential,
     tol: float = 1e-6,
-    interval: tuple[float, float] = (0.0, 1.0),
     time_steps: int = 32,
 ) -> VerificationReport:
     """Decreasing endpoint sequences should give pointwise decreasing geodesics.
 
-    Solves the weak geodesic for each endpoint pair and for the limit pair,
-    then reports max(0, -min margin), the margins being the pointwise drops
-    between consecutive paths and against the limit path, and records the
-    violation count and the final sup-distance to the limit.
+    Solves the weak geodesic over [0, 1] for each endpoint pair and for the
+    limit pair, then reports max(0, -min margin), the margins being the
+    pointwise drops between consecutive paths and against the limit path,
+    and records the violation count and the final sup-distance to the limit.
     """
-    if len(u_a_seq) != len(u_b_seq) or not u_a_seq:
-        raise ValueError("need matching nonempty endpoint sequences")
-    slack = 1e-12
-    for seq, limit in ((u_a_seq, u_a), (u_b_seq, u_b)):
-        for earlier, later in zip(seq, seq[1:]):
-            if float((earlier.field - later.field).min()) < -slack:
-                raise ValueError("endpoint sequences must decrease pointwise")
-        if float((seq[-1].field - limit.field).min()) < -slack:
-            raise ValueError("endpoint sequences must dominate their limit")
-
+    require_decreasing_to(u_a_seq, u_b_seq, u_a, u_b)
     paths = [
-        weak_geodesic(a, b, interval, tol, time_steps) for a, b in zip(u_a_seq, u_b_seq)
+        weak_geodesic(a, b, (0.0, 1.0), tol, time_steps) for a, b in zip(u_a_seq, u_b_seq)
     ]
-    limit_path = weak_geodesic(u_a, u_b, interval, tol, time_steps)
+    limit_path = weak_geodesic(u_a, u_b, (0.0, 1.0), tol, time_steps)
     min_margin = np.inf
     violations = 0
     for earlier, later in zip(paths, paths[1:]):

@@ -48,8 +48,6 @@ class Grid:
     def __post_init__(self):
         if self.n < 4 or self.n % 2 != 0:
             raise ValueError(f"grid size must be even and >= 4, got {self.n}")
-        if self.scheme == "central-difference-2nd-order":
-            object.__setattr__(self, "scheme", "central")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
 
@@ -189,11 +187,6 @@ def make_potential(f: GridField, grid: Grid) -> Potential:
     if not np.isfinite(f).all():
         raise NotKahler(np.nan)
     return Potential(grid, _frozen(f), _frozen(ma_density(f, grid)))
-
-
-def f_density(u: Potential) -> GridField:
-    """Density of the reference measure against the potential's measure, 1/rho_u."""
-    return 1.0 / u.density
 
 
 def inner_product_du(u: Potential, xi: GridField, eta: GridField) -> GridField:

@@ -20,13 +20,14 @@ They return VerificationReport, the one report type of every check in mal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import NotEquidistributed
-from .grid import GridField, Potential, WeightedValues
+from .fixtures import random_potential
+from .grid import Grid, GridField, Potential, WeightedValues
 from .rearrangement import (
     StepFunction,
     decreasing_rearrangement,
@@ -47,7 +48,6 @@ class Orlicz:
     """
 
     chi: Callable[[np.ndarray], np.ndarray]
-    label: str = "orlicz"
 
     def __post_init__(self):
         probes = self.chi(_CONVEXITY_PROBES)
@@ -79,13 +79,10 @@ class LorentzWeak:
     """Weak Lorentz functional: sup_s (integral_0^s |xi|* d sigma) / s^alpha."""
 
     alpha: float
-    label: str = field(default="", compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie strictly inside (0,1), got {self.alpha}")
-        if not self.label:
-            object.__setattr__(self, "label", f"lorentz:a{self.alpha:g}")
 
     @property
     def positively_homogeneous(self) -> bool:
@@ -120,13 +117,10 @@ class Power:
     """Norm Lagrangian L(xi) = (integral |xi|^p d mu_u)^{1/p}."""
 
     p: float
-    label: str = field(default="", compare=False)
 
     def __post_init__(self):
         if not 1.0 <= self.p < np.inf:
             raise ValueError(f"p must be finite and >= 1, got {self.p}")
-        if not self.label:
-            object.__setattr__(self, "label", f"power:p{self.p:g}")
 
     @property
     def positively_homogeneous(self) -> bool:
@@ -150,7 +144,6 @@ class SupFamily:
     """
 
     members: tuple[tuple[float, StepFunction], ...]
-    label: str = "supfam"
 
     def __post_init__(self):
         if not self.members:
@@ -203,17 +196,17 @@ def check_invariance(
     xi: GridField,
     v: Potential,
     eta: GridField,
-    tol: float = 1e-9,
 ) -> VerificationReport:
     """Compare evaluate on two equidistributed (field, potential) pairs.
 
-    The pass threshold is tol amplified by the Lipschitz bound at the data's
-    sup norm, since a distribution discrepancy of size tol can move the value
+    The pass threshold is 1e-9 amplified by the Lipschitz bound at the data's
+    sup norm, since a distribution discrepancy of that size can move the value
     by at most that factor.
 
     Raises:
         NotEquidistributed: if the two pairs fail the equidistribution test.
     """
+    tol = 1e-9
     wa = WeightedValues.from_field(xi, u)
     wb = WeightedValues.from_field(eta, v)
     if not equidistributed(wa, wb, tol):
@@ -251,20 +244,16 @@ def estimate_lipschitz(
     radius: float,
     trials: int,
     seed: int,
-    grid=None,
 ) -> float:
     """Empirical sup of |L(xi) - L(eta)| / sup|xi - eta| on bounded pairs.
 
-    Random potentials and random bounded fields, deterministic for a fixed
-    seed; pairs with xi = eta are skipped (zero denominator).
+    Random potentials and random bounded fields on a 16 x 16 spectral grid,
+    deterministic for a fixed seed; pairs with xi = eta are skipped (zero
+    denominator).
     """
-    from .fixtures import random_potential
-    from .grid import Grid
-
     if radius <= 0.0:
         raise ValueError("radius must be positive")
-    if grid is None:
-        grid = Grid(16, "spectral")
+    grid = Grid(16, "spectral")
     rng = np.random.default_rng(seed)
     shape = (grid.n, grid.n)
     best = 0.0

@@ -92,6 +92,14 @@ def rearrange_values(values, weights) -> StepFunction:
     return StepFunction(_frozen(bounds), _frozen(v[ends]))
 
 
+def _refinement(a, b, upper: float):
+    """Lengths and midpoints of the common refinement of two breakpoint arrays up
+    to upper; union1d sorts and deduplicates, so every length is positive."""
+    grid = np.union1d(a, b)
+    grid = grid[grid <= upper]
+    return np.diff(grid), 0.5 * (grid[:-1] + grid[1:])
+
+
 def decreasing_rearrangement(wv: WeightedValues) -> StepFunction:
     """Decreasing rearrangement of a weighted value set (mass 1)."""
     return rearrange_values(wv.values, wv.weights)
@@ -113,9 +121,7 @@ def equidistributed(a: WeightedValues, b: WeightedValues, tol: float = 1e-9) -> 
         )
     ra = decreasing_rearrangement(a)
     rb = decreasing_rearrangement(b)
-    grid = np.union1d(ra.bounds, rb.bounds)
-    lengths = np.diff(grid)
-    mids = 0.5 * (grid[:-1] + grid[1:])
+    lengths, mids = _refinement(ra.bounds, rb.bounds, np.inf)
     gap = np.abs(ra.value(mids) - rb.value(mids))
     bad = (gap > tol) & (lengths > tol)
     return not bool(bad.any())
@@ -123,10 +129,7 @@ def equidistributed(a: WeightedValues, b: WeightedValues, tol: float = 1e-9) -> 
 
 def step_l1_distance(a: StepFunction, b: StepFunction) -> float:
     """Integral of |a - b| over the common domain (masses assumed comparable)."""
-    grid = np.union1d(a.bounds, b.bounds)
-    grid = grid[grid <= min(a.total_mass, b.total_mass)]
-    lengths = np.diff(grid)
-    mids = 0.5 * (grid[:-1] + grid[1:])
+    lengths, mids = _refinement(a.bounds, b.bounds, min(a.total_mass, b.total_mass))
     return float(np.sum(lengths * np.abs(a.value(mids) - b.value(mids))))
 
 
@@ -154,12 +157,8 @@ class ThetaMap:
         split on the common refinement, so the result has exactly the weighted
         distribution of the step function (up to rounding).
         """
-        grid = np.union1d(self.interval_bounds, step.bounds)
-        grid = grid[(grid >= 0.0) & (grid <= self.interval_bounds[-1])]
-        lengths = np.diff(grid)
-        mids = 0.5 * (grid[:-1] + grid[1:])
-        keep = lengths > 0
-        return WeightedValues.from_arrays(step.value(mids[keep]), lengths[keep])
+        lengths, mids = _refinement(self.interval_bounds, step.bounds, self.interval_bounds[-1])
+        return WeightedValues.from_arrays(step.value(mids), lengths)
 
 
 def theta_map(wv: WeightedValues, tie_break=None) -> ThetaMap:
@@ -209,22 +208,21 @@ def similarly_ordered(g, h) -> bool:
     return bool(np.all(hmax[:-1] <= hmin[1:]))
 
 
-def hardy_littlewood_sup(f0: StepFunction, eta: WeightedValues, tol: float = 1e-9) -> float:
+def hardy_littlewood_sup(f0: StepFunction, eta: WeightedValues) -> float:
     """Largest integral of f eta d mu over f equidistributed with f0.
 
     Equals the similarly-ordered pairing of the two decreasing rearrangements,
     integrated exactly on the common refinement of their breakpoints.
 
     Raises:
-        MassMismatch: if the masses of f0 and eta differ by more than tol.
+        MassMismatch: if the masses of f0 and eta differ by more than 1e-9.
     """
     eta_star = decreasing_rearrangement(eta)
-    if abs(f0.total_mass - eta_star.total_mass) > tol:
+    if abs(f0.total_mass - eta_star.total_mass) > 1e-9:
         raise MassMismatch(
-            f"masses {f0.total_mass!r} and {eta_star.total_mass!r} differ by more than {tol}"
+            f"masses {f0.total_mass!r} and {eta_star.total_mass!r} differ by more than 1e-9"
         )
-    grid = np.union1d(f0.bounds, eta_star.bounds)
-    grid = grid[grid <= min(f0.total_mass, eta_star.total_mass)]
-    lengths = np.diff(grid)
-    mids = 0.5 * (grid[:-1] + grid[1:])
+    lengths, mids = _refinement(
+        f0.bounds, eta_star.bounds, min(f0.total_mass, eta_star.total_mass)
+    )
     return float(np.sum(lengths * f0.value(mids) * eta_star.value(mids)))

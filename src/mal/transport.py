@@ -123,15 +123,16 @@ def map_distance(a: TransportMap, b: TransportMap) -> float:
     return float(np.hypot(ddx, ddy).max())
 
 
-def inverse(phi: TransportMap, iterations: int = 60, tol: float = 1e-13) -> TransportMap:
+def inverse(phi: TransportMap) -> TransportMap:
     """Inverse map by fixed-point iteration on d_inv(x) = -d(x + d_inv(x)).
 
     Converges when the displacement is a contraction (sup |grad d| < 1), which
     holds for resolved flows.
 
     Raises:
-        NonConvergence: if the iteration stalls above tol.
+        NonConvergence: if 60 iterations leave the update above 1e-13.
     """
+    iterations, tol = 60, 1e-13
     if phi.is_identity:
         return phi
     g = phi.grid
@@ -189,10 +190,6 @@ class PotentialPath:
     @property
     def grid(self) -> Grid:
         return self.knots[0].grid
-
-    @property
-    def intervals(self) -> int:
-        return len(self.knots) - 1
 
     @cached_property
     def fields(self) -> NDArray[np.float64]:
@@ -256,27 +253,6 @@ def linear_path(
         knots.append(make_potential((1.0 - si) * u_a.field + si * u_b.field, g))
     knots.append(u_b)
     return PotentialPath(_frozen(times), tuple(knots), "piecewise-linear")
-
-
-@dataclass(frozen=True, eq=False)
-class PathVelocity:
-    """Difference-quotient velocities along a path.
-
-    kind "interval": one field per interval (the right derivative at each left
-    knot), the piecewise-linear case.  kind "knot": one field per knot from
-    2nd-order differencing, the solver-native case.
-    """
-
-    times: NDArray[np.float64]
-    fields: NDArray[np.float64]
-    kind: str
-
-
-def velocity(path: PotentialPath) -> PathVelocity:
-    """Velocity of a path by the differencing matching its interpolation."""
-    if path.interpolation == "piecewise-linear":
-        return PathVelocity(_frozen(path.times[:-1]), path.interval_velocity, "interval")
-    return PathVelocity(_frozen(path.times), path.knot_velocity, "knot")
 
 
 def _interval_velocity_fields(path: PotentialPath):

@@ -427,7 +427,7 @@ def test_10_triangle_comparison_for_homogeneous_forms():
             apex = random_potential(g, rng, 0.02)
             path = linear_path(a, b, 0.0, 1.0, 8)
             rep = verify_comparison_inequality(
-                spec, path, apex, leg_duration=1.0, tol=5e-3, epsilon=1e-2, time_steps=16
+                spec, path, apex, tol=5e-3, epsilon=1e-2, time_steps=16
             )
             worst = min(worst, rep.provenance["margin"])
 

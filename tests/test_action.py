@@ -39,7 +39,7 @@ def native_scalar_path(grid, profile, intervals):
 
 
 def quadratic_lagrangian():
-    return Orlicz(lambda t: t * t, label="orlicz:p2")
+    return Orlicz(lambda t: t * t)
 
 
 class TestActionReport:
@@ -338,9 +338,7 @@ class TestVerifyComparison:
         """Scalar legs: apex sag cancels in the difference of leg values."""
         g = Grid(8)
         path = linear_path(constant_potential(g, 0.2), constant_potential(g, 0.9), 0.0, 1.0, 2)
-        report = verify_comparison_inequality(
-            Power(1.0), path, constant_potential(g, 0.0), leg_duration=1.0
-        )
+        report = verify_comparison_inequality(Power(1.0), path, constant_potential(g, 0.0))
         assert report.passed
         assert report.provenance["margin"] == pytest.approx(0.0, abs=1e-6)
 
@@ -456,7 +454,7 @@ class TestJacobiConvexity:
             report = verify_jacobi_convexity(
                 spec, p, d_a, d_b, tol=1e-4, solution=sol, field=xi
             )
-            assert report.passed, spec.label
+            assert report.passed, spec
 
     def test_concave_family_negative_control(self):
         g = Grid(16)

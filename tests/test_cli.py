@@ -213,11 +213,19 @@ class TestSolve:
             ({"start = 0.0": "start = inf"}, "[fixture] start"),
             ({constants: band_limited + "nan"}, "[fixture] amplitude"),
             ({constants: band_limited + "inf"}, "[fixture] amplitude"),
+            ({"mode = epsilon": "mode = epsilon\nmax_iter = 60"}, "[geodesic] max_iter"),
+            ({"solver_tol = 1e-8": "solver_tl = 1e-8"}, "[geodesic] solver_tl"),
+            ({"[output]": "[outputs]"}, "[outputs]"),
         ]
         for replacements, section in cases:
             path = write_config(tmp_path, **replacements)
             assert main(["solve", "--config", str(path)]) == 3
             assert section in capsys.readouterr().err
+
+    def test_solver_failure_exits_two(self, tmp_path, capsys):
+        path = write_config(tmp_path, **{"solver_tol = 1e-8": "solver_tol = 1e-30"})
+        assert main(["solve", "--config", str(path)]) == 2
+        assert "solver failure" in capsys.readouterr().err
 
     def test_byte_determinism(self, tmp_path):
         p1 = write_config(tmp_path, "one.ini")
@@ -274,6 +282,12 @@ class TestVerify:
         margins = details["least-action"]["primary"]["margins"]
         assert len(margins) == 3
         assert min(margins) > -5e-3
+
+    def test_least_action_control_on_constants(self, tmp_path):
+        # Power(1) charges every pointwise-monotone path between constants alike,
+        # so the detour must rise and fall at every cell to cost more
+        path = write_config(tmp_path)
+        assert main(["verify", "--config", str(path), "--suite", "least-action"]) == 0
 
     def test_multiple_suites(self, tmp_path):
         path = band_limited_config(tmp_path)

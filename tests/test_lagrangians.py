@@ -19,7 +19,7 @@ from mal.lagrangians import (
 )
 from mal.rearrangement import StepFunction, decreasing_rearrangement, theta_map
 
-CHI_SQUARE = Orlicz(lambda t: t**2, label="orlicz:p2")
+CHI_SQUARE = Orlicz(lambda t: t**2)
 
 
 def flat(n, scheme="spectral"):

@@ -20,7 +20,6 @@ from mal.transport import (
     spectral_interp,
     symplectic_flow,
     transport_flow,
-    velocity,
 )
 
 
@@ -85,9 +84,9 @@ class TestPathValidation:
 class TestVelocity:
     def test_constant_path_zero_velocity(self):
         path = constant_path(Grid(16), 0.7, [0.0, 0.5, 1.0])
-        v = velocity(path)
-        assert v.kind == "interval"
-        assert not v.fields.any()
+        v = path.interval_velocity
+        assert v.shape == (2, 16, 16)
+        assert not v.any()
 
     def test_linear_path_constant_quotient(self):
         g = Grid(16)
@@ -98,17 +97,16 @@ class TestVelocity:
             [np.zeros((16, 16)), np.full((16, 16), c * 0.4), np.full((16, 16), c)],
             interpolation="piecewise-linear",
         )
-        v = velocity(path)
-        assert np.max(np.abs(v.fields - c / big_t)) < 1e-14
+        assert np.max(np.abs(path.interval_velocity - c / big_t)) < 1e-14
 
     def test_solver_native_quadratic_in_time(self):
         g = Grid(8)
         times = np.linspace(0.0, 1.0, 6)
         path = path_from_fields(g, times, [np.full((8, 8), t * t) for t in times])
-        v = velocity(path)
-        assert v.kind == "knot"
+        v = path.knot_velocity
+        assert v.shape == (6, 8, 8)
         expected = 2.0 * times[:, None, None]
-        assert np.max(np.abs(v.fields - expected)) < 1e-12
+        assert np.max(np.abs(v - expected)) < 1e-12
 
 
 class TestInterpolation:
