@@ -77,10 +77,8 @@ from .geodesics import (
     weak_geodesic,
 )
 from .action import (
-    ActionReport,
     LeastActionQuery,
     competitor_paths,
-    connecting_geodesic,
     least_action,
     midpoint_convexity_margin,
     path_action,

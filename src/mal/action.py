@@ -43,22 +43,6 @@ from .rearrangement import decreasing_rearrangement, step_l1_distance
 from .transport import PotentialPath
 
 
-@dataclass(frozen=True)
-class ActionReport:
-    """Composite-quadrature value of the action integral of one path."""
-
-    value: float
-    contributions: tuple[float, ...]
-    quadrature: str
-
-    def __post_init__(self):
-        if self.quadrature not in ("right-endpoint", "midpoint"):
-            raise ValueError(f"unknown quadrature {self.quadrature!r}")
-        total = float(np.sum(self.contributions))
-        if abs(total - self.value) > 1e-12 * max(1.0, abs(self.value)):
-            raise ValueError("value must equal the sum of its contributions")
-
-
 @dataclass(frozen=True, eq=False)
 class LeastActionQuery:
     """Endpoints, horizon, Lagrangian, and solver knobs for a least action.
@@ -84,44 +68,45 @@ class LeastActionQuery:
             raise ValueError("tol must be positive")
 
 
-def path_action(spec: LagrangianSpec, path: PotentialPath) -> ActionReport:
+def path_action(spec: LagrangianSpec, path: PotentialPath) -> float:
     """Composite quadrature of t -> L(udot(t)) along a path.
 
     Piecewise-linear paths use the right-endpoint rule on each segment;
     the segment velocity is a single field, evaluated against the measure of
     the right knot.  Solver-native paths use the midpoint rule: the interval
     difference quotient is exactly the velocity at the interval midpoint to
-    second order, and the midpoint potential is the knot average.
+    second order, and the midpoint measure is that of the knot average, whose
+    density is the mean of the knot densities since the density is affine in
+    the field.
     """
     dt = np.diff(path.times)
+    dens = path.densities
     if path.interpolation == "piecewise-linear":
-        measures, rule = path.knots[1:], "right-endpoint"
+        dens = dens[1:]
     else:
-        f = path.fields
-        measures = [make_potential(0.5 * (f[i] + f[i + 1]), path.grid) for i in range(dt.size)]
-        rule = "midpoint"
+        dens = 0.5 * (dens[:-1] + dens[1:])
+    weights = dens / path.grid.n**2
     quot = path.interval_velocity
-    contributions = tuple(float(dt[i] * evaluate(spec, u, quot[i])) for i, u in enumerate(measures))
-    return ActionReport(float(np.sum(contributions)), contributions, rule)
-
-
-def connecting_geodesic(q: LeastActionQuery) -> PotentialPath:
-    """Weak geodesic between the query endpoints over [0, duration]."""
-    return weak_geodesic(
-        q.start, q.end, (0.0, q.duration), q.tol, q.time_steps, q.solver_tol
-    )
+    return float(np.sum([
+        dt[i] * spec.of_weighted(WeightedValues.from_arrays(quot[i], weights[i]))
+        for i in range(dt.size)
+    ]))
 
 
 def least_action(q: LeastActionQuery, geodesic: PotentialPath | None = None) -> float:
     """Least action between two potentials, realized on the weak geodesic.
 
-    The infimum over piecewise C1 paths is attained on the connecting weak
-    geodesic, so the value is the action of that single path.  A precomputed
-    connecting geodesic may be supplied to share one solve across several
-    Lagrangians; it is trusted to connect the query endpoints.
+    The infimum over piecewise C1 paths is attained on the weak geodesic
+    between the query endpoints over [0, duration], so the value is the
+    action of that single path.  A precomputed connecting geodesic may be
+    supplied to share one solve across several Lagrangians; it is trusted to
+    connect the query endpoints.
     """
-    path = connecting_geodesic(q) if geodesic is None else geodesic
-    return path_action(q.spec, path).value
+    if geodesic is None:
+        geodesic = weak_geodesic(
+            q.start, q.end, (0.0, q.duration), q.tol, q.time_steps, q.solver_tol
+        )
+    return path_action(q.spec, geodesic)
 
 
 def competitor_paths(
@@ -194,11 +179,10 @@ def verify_least_action(
     absorbs the first-order right-endpoint quadrature bias of piecewise-linear
     competitor actions, which scales with the competitor knot amplitude.
     """
-    path = connecting_geodesic(q) if geodesic is None else geodesic
-    g_action = path_action(q.spec, path).value
+    g_action = least_action(q, geodesic)
     margins = []
     for comp in competitor_paths(q.start, q.end, q.duration, count, seed, amplitude=amplitude):
-        margins.append(path_action(q.spec, comp).value - g_action)
+        margins.append(path_action(q.spec, comp) - g_action)
     worst = max(0.0, -min(margins))
     return VerificationReport(
         "least-action",
@@ -255,7 +239,7 @@ def verify_comparison_inequality(
         p = EpsGeodesicProblem(apex, endpoint, (0.0, 1.0), epsilon, time_steps, solver_tol)
         sol = solve_epsilon_geodesic(p)
         leg_values.append(evaluate(spec, apex, sol.path.knot_velocity[0]))
-    margin = path_action(spec, path).value - (leg_values[1] - leg_values[0])
+    margin = path_action(spec, path) - (leg_values[1] - leg_values[0])
     return VerificationReport(
         "comparison-inequality",
         max(0.0, -margin),
@@ -370,7 +354,7 @@ def verify_action_convexity(
     u_path: PotentialPath,
     v_path: PotentialPath,
     s_duration: float,
-    sample_times: Sequence[float],
+    stride: int,
     tol: float = 5e-3,
     time_steps: int = 16,
     continuation_tol: float = 1e-5,
@@ -378,26 +362,18 @@ def verify_action_convexity(
 ) -> VerificationReport:
     """Convexity of t -> least_action(u(t), v(t)) for two weak geodesics.
 
-    sample_times must be uniformly spaced knot times shared by both paths;
-    the least action over horizon s_duration is computed at each sample and
-    checked for discrete midpoint convexity.
+    Both paths must share uniformly spaced knot times; the least action over
+    horizon s_duration is computed at every stride-th knot and checked for
+    discrete midpoint convexity.
     """
     if u_path.grid != v_path.grid:
         raise ValueError("paths must share one grid")
     if not np.allclose(u_path.times, v_path.times, rtol=0.0, atol=1e-12):
         raise ValueError("paths must share their knot times")
-    ts = np.asarray(sample_times, dtype=float)
-    if ts.size < 3:
+    u_path.uniform_step  # raises ValueError unless the knots are uniformly spaced
+    indices = range(0, len(u_path.knots), stride)
+    if len(indices) < 3:
         raise ValueError("need at least three sample times")
-    gaps = np.diff(ts)
-    if np.any(gaps <= 0.0) or not np.allclose(gaps, gaps[0], rtol=1e-9, atol=1e-12):
-        raise ValueError("sample times must be uniformly spaced and increasing")
-    indices = []
-    for t in ts:
-        hits = np.flatnonzero(np.abs(u_path.times - t) <= 1e-9)
-        if hits.size != 1:
-            raise ValueError(f"sample time {t!r} is not a knot time")
-        indices.append(int(hits[0]))
     vals = []
     for idx in indices:
         q = LeastActionQuery(
@@ -419,7 +395,7 @@ def verify_action_convexity(
             "n": u_path.grid.n,
             "scheme": u_path.grid.scheme,
             "s_duration": s_duration,
-            "sample_times": tuple(float(t) for t in ts),
+            "sample_times": tuple(float(u_path.times[i]) for i in indices),
             "time_steps": time_steps,
             "values": tuple(float(v) for v in vals),
         },

@@ -145,7 +145,7 @@ def parse_lagrangian(text: str, base_dir: Path) -> LagrangianSpec:
             return SupFamily(tuple(members))
     except ConfigError:
         raise
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"[lagrangian] spec: {exc}") from None
     raise ConfigError(f"[lagrangian] spec: unknown form {text!r}")
 
@@ -156,10 +156,11 @@ def parse_config(path: str) -> ExperimentConfig:
     Raises:
         ConfigError: naming the offending section and key.
     """
-    parser = configparser.ConfigParser()
+    # no config interpolates, so a % in a value is a literal character
+    parser = configparser.ConfigParser(interpolation=None)
     try:
-        read = parser.read(path)
-    except configparser.Error as exc:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file: {exc}") from None
     if not read:
         raise ConfigError(f"config file: cannot read {path!r}")
@@ -183,10 +184,18 @@ def parse_config(path: str) -> ExperimentConfig:
             "amplitude": _get(parser, "fixture", "amplitude", float, 0.02),
             "max_mode": _get(parser, "fixture", "max_mode", int, 3),
         }
+        if params["seed"] < 0:
+            raise ConfigError("[fixture] seed: must be nonnegative")
         if params["amplitude"] <= 0.0:
             raise ConfigError("[fixture] amplitude: must be positive")
+        if not 1 <= params["max_mode"] < n // 2:
+            raise ConfigError(f"[fixture] max_mode: must lie in [1, n/2) = [1, {n // 2})")
     else:
         raise ConfigError(f"[fixture] kind: unknown kind {kind!r}")
+    # far below the ~1e306 at which a field's Fourier transform overflows
+    for key in ("start", "end", "amplitude"):
+        if abs(params.get(key, 0.0)) > 1e6:
+            raise ConfigError(f"[fixture] {key}: magnitude must be at most 1e6")
 
     base_dir = Path(path).resolve().parent
     spec = parse_lagrangian(_get(parser, "lagrangian", "spec", str, "power:p1"), base_dir)
@@ -209,6 +218,8 @@ def parse_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"[geodesic] mode: unknown mode {mode!r}")
 
     seed = _get(parser, "verification", "seed", int, 0)
+    if seed < 0:
+        raise ConfigError("[verification] seed: must be nonnegative")
     count = _get(parser, "verification", "count", int, 20)
     if count < 1:
         raise ConfigError("[verification] count: need at least one")
@@ -397,7 +408,7 @@ def _comparison(run: VerifyRun) -> tuple[VerificationReport, VerificationReport]
     # false hypothesis: a costly detour keeps the margin below 1e-2; it shares
     # the primary's endpoints and apex, hence its two legs
     legs = report.provenance["leg_values"]
-    margin = path_action(cfg.lagrangian, run.detour).value - (legs[1] - legs[0])
+    margin = path_action(cfg.lagrangian, run.detour) - (legs[1] - legs[0])
     return report, VerificationReport(
         report.experiment, margin, 1e-2, {**report.provenance, "margin": margin}
     )
@@ -430,15 +441,15 @@ def _action_convexity(run: VerifyRun) -> tuple[VerificationReport, VerificationR
         random_potential(cfg.grid, rng, amplitude=0.02),
         (0.0, cfg.duration), cfg.continuation_tol, cfg.time_steps, cfg.solver_tol,
     )
-    samples = run.geodesic.times[:: max(1, cfg.time_steps // 8)]
+    stride = max(1, cfg.time_steps // 8)
     report = verify_action_convexity(
-        cfg.lagrangian, run.geodesic, v_path, cfg.duration, samples, cfg.tolerance,
+        cfg.lagrangian, run.geodesic, v_path, cfg.duration, stride, cfg.tolerance,
         time_steps=max(8, cfg.time_steps // 2), continuation_tol=cfg.continuation_tol,
         solver_tol=cfg.solver_tol,
     )
     # vacuity guard: a synthetic concave sequence at the same sample
     # times must register a violation of the expected h^2 size
-    s = np.asarray(samples, dtype=float)
+    s = run.geodesic.times[::stride]
     margin = midpoint_excess(-((s - s.mean()) ** 2))
     h = float(s[1] - s[0])
     return report, VerificationReport(report.experiment, margin, 0.5 * h * h, {"margin": margin})

@@ -1,13 +1,14 @@
 """Seeded band-limited test fields and admissible potentials.
 
 Fields are random trigonometric sums over the low Fourier modes, drawn from a
-caller-supplied generator; potentials rescale them to keep the Monge-Ampere
-density at least 1/2.
+caller-supplied generator and synthesized by one inverse FFT; potentials
+rescale them to keep the Monge-Ampere density at least 1/2.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.fft
 
 from .grid import Grid, GridField, Potential, laplacian, make_potential
 
@@ -15,16 +16,20 @@ from .grid import Grid, GridField, Potential, laplacian, make_potential
 def random_band_limited(
     grid: Grid, rng: np.random.Generator, amplitude: float, max_mode: int = 3
 ) -> GridField:
-    """Seeded random trigonometric field with sup norm equal to amplitude."""
-    x, y = grid.coords()
-    f = np.zeros((grid.n, grid.n))
-    for kx in range(0, max_mode + 1):
-        for ky in range(-max_mode, max_mode + 1):
-            if kx == 0 and ky <= 0:
-                continue  # one representative per conjugate mode pair
-            phase = 2.0 * np.pi * (kx * x + ky * y)
-            a, b = rng.standard_normal(2)
-            f += a * np.cos(phase) + b * np.sin(phase)
+    """Seeded random trigonometric field with sup norm equal to amplitude.
+
+    Each mode (kx, ky) with 0 <= kx <= max_mode, |ky| <= max_mode, one
+    representative per conjugate pair, draws a cos and a sin coefficient
+    (a, b); the sum of a cos + b sin is n^2 times the real part of the inverse
+    FFT of a - ib placed at (kx mod n, ky mod n), where aliased modes add up.
+    """
+    n = grid.n
+    kx, ky = np.meshgrid(np.arange(max_mode + 1), np.arange(-max_mode, max_mode + 1), indexing="ij")
+    keep = (kx > 0) | (ky > 0)
+    ab = rng.standard_normal((int(keep.sum()), 2))
+    spec = np.zeros((n, n), dtype=complex)
+    np.add.at(spec, (kx[keep] % n, ky[keep] % n), ab[:, 0] - 1j * ab[:, 1])
+    f = n * n * scipy.fft.ifft2(spec).real
     sup = float(np.abs(f).max())
     if sup == 0.0:
         return f

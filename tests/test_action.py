@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from mal.action import (
-    ActionReport,
     LeastActionQuery,
     competitor_paths,
-    connecting_geodesic,
     least_action,
     midpoint_convexity_margin,
     path_action,
@@ -22,7 +20,7 @@ from mal.errors import GenerationFailed, HomogeneityRequired
 from mal.fixtures import random_potential
 from mal.geodesics import EpsGeodesicProblem, solve_epsilon_geodesic, weak_geodesic
 from mal.grid import Grid, make_potential
-from mal.lagrangians import LorentzWeak, Orlicz, Power
+from mal.lagrangians import LorentzWeak, Orlicz, Power, evaluate
 from mal.transport import PotentialPath, linear_path
 
 
@@ -40,16 +38,6 @@ def native_scalar_path(grid, profile, intervals):
 
 def quadratic_lagrangian():
     return Orlicz(lambda t: t * t)
-
-
-class TestActionReport:
-    def test_value_must_match_contributions(self):
-        with pytest.raises(ValueError):
-            ActionReport(1.0, (0.4, 0.4), "midpoint")
-
-    def test_unknown_quadrature_rejected(self):
-        with pytest.raises(ValueError):
-            ActionReport(1.0, (1.0,), "trapezoid")
 
 
 class TestQueryValidation:
@@ -80,26 +68,17 @@ class TestPathAction:
         g = Grid(8)
         c = constant_potential(g, 0.4)
         path = linear_path(c, c, 0.0, 2.0, 3)
-        report = path_action(quadratic_lagrangian(), path)
-        assert report.value == 0.0
-        assert report.quadrature == "right-endpoint"
+        assert path_action(quadratic_lagrangian(), path) == 0.0
 
     def test_linear_constants_power_two(self):
         g = Grid(8)
         path = linear_path(constant_potential(g, 0.0), constant_potential(g, 0.7), 0.0, 1.0, 4)
-        assert path_action(Power(2.0), path).value == pytest.approx(0.7, abs=1e-12)
+        assert path_action(Power(2.0), path) == pytest.approx(0.7, abs=1e-12)
 
     def test_linear_constants_quadratic_orlicz(self):
         g = Grid(8)
         path = linear_path(constant_potential(g, 0.0), constant_potential(g, 0.7), 0.0, 1.0, 4)
-        assert path_action(quadratic_lagrangian(), path).value == pytest.approx(0.49, abs=1e-12)
-
-    def test_contributions_sum_to_value(self):
-        g = Grid(8)
-        path = linear_path(constant_potential(g, -0.3), constant_potential(g, 0.5), 0.0, 1.0, 5)
-        report = path_action(Power(1.0), path)
-        assert len(report.contributions) == 5
-        assert report.value == pytest.approx(sum(report.contributions), rel=1e-15)
+        assert path_action(quadratic_lagrangian(), path) == pytest.approx(0.49, abs=1e-12)
 
     def test_piecewise_linear_right_endpoint_exact(self):
         """Per-segment constant speeds make the composite rule a finite sum."""
@@ -113,24 +92,51 @@ class TestPathAction:
         times.setflags(write=False)
         path = PotentialPath(times, knots, "piecewise-linear")
         expected = 0.25 * (0.6 / 0.25) + 0.75 * (0.4 / 0.75)
-        assert path_action(Power(1.0), path).value == pytest.approx(expected, abs=1e-12)
+        assert path_action(Power(1.0), path) == pytest.approx(expected, abs=1e-12)
 
     def test_native_quadratic_scalar_path_exact(self):
         """Interval quotients hit the midpoint velocity of a quadratic exactly."""
         g = Grid(8)
         path = native_scalar_path(g, lambda t: t * t, 8)
-        assert path_action(Power(1.0), path).value == pytest.approx(1.0, abs=1e-12)
-        assert path_action(Power(1.0), path).quadrature == "midpoint"
+        assert path_action(Power(1.0), path) == pytest.approx(1.0, abs=1e-12)
 
     def test_native_cubic_path_second_order(self):
         g = Grid(8)
         spec = quadratic_lagrangian()
         errs = [
-            abs(path_action(spec, native_scalar_path(g, lambda t: t**3, m)).value - 9.0 / 5.0)
+            abs(path_action(spec, native_scalar_path(g, lambda t: t**3, m)) - 9.0 / 5.0)
             for m in (4, 8, 16)
         ]
         assert errs[0] > errs[1] > errs[2]
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.1)
+
+
+    @pytest.mark.parametrize("scheme", ["spectral", "central"])
+    def test_native_matches_knot_average_potentials(self, scheme):
+        """Interval measures from knot densities equal those of the knot-average potentials."""
+        g = Grid(16, scheme)
+        rng = np.random.default_rng(8)
+        path = weak_geodesic(random_potential(g, rng), random_potential(g, rng), (0.0, 1.0), 1e-4, 8)
+        dt, f, quot = np.diff(path.times), path.fields, path.interval_velocity
+        for spec in (Power(1.0), Power(2.0), LorentzWeak(0.5), quadratic_lagrangian()):
+            want = np.sum([
+                dt[i] * evaluate(spec, make_potential(0.5 * (f[i] + f[i + 1]), g), quot[i])
+                for i in range(dt.size)
+            ])
+            assert path_action(spec, path) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("scheme", ["spectral", "central"])
+    def test_piecewise_linear_matches_right_knots_bitwise(self, scheme):
+        g = Grid(16, scheme)
+        rng = np.random.default_rng(9)
+        u_a, u_b = random_potential(g, rng), random_potential(g, rng)
+        for path in competitor_paths(u_a, u_b, 1.0, 3, seed=4):
+            dt, quot = np.diff(path.times), path.interval_velocity
+            for spec in (Power(1.0), LorentzWeak(0.5)):
+                want = float(np.sum([
+                    dt[i] * evaluate(spec, path.knots[i + 1], quot[i]) for i in range(dt.size)
+                ]))
+                assert path_action(spec, path) == want
 
 
 class TestLeastAction:
@@ -177,7 +183,7 @@ class TestLeastAction:
         u_b = random_potential(g, rng)
         spec = quadratic_lagrangian()
         q = LeastActionQuery(u_a, u_b, 1.0, spec, time_steps=16)
-        linear = path_action(spec, linear_path(u_a, u_b, 0.0, 1.0, 8)).value
+        linear = path_action(spec, linear_path(u_a, u_b, 0.0, 1.0, 8))
         assert least_action(q) <= linear + 1e-8
 
     def test_concatenation_superadditivity_constants(self):
@@ -214,7 +220,7 @@ class TestLeastAction:
         q = LeastActionQuery(
             constant_potential(g, 0.0), constant_potential(g, 0.5), 1.0, Power(1.0), time_steps=8
         )
-        geo = connecting_geodesic(q)
+        geo = weak_geodesic(q.start, q.end, (0.0, q.duration), q.tol, q.time_steps)
         assert least_action(q, geodesic=geo) == least_action(q)
 
 
@@ -299,9 +305,9 @@ class TestVerifyLeastAction:
             times, (u_a, constant_potential(g, 0.7), u_b), "piecewise-linear"
         )
         hand = 0.3 * (0.7 / 0.3) ** 2 + 0.7 * (0.3 / 0.7) ** 2
-        assert path_action(spec, competitor).value == pytest.approx(hand, abs=1e-12)
+        assert path_action(spec, competitor) == pytest.approx(hand, abs=1e-12)
         q = LeastActionQuery(u_a, u_b, 1.0, spec, time_steps=8)
-        assert least_action(q) <= path_action(spec, competitor).value
+        assert least_action(q) <= path_action(spec, competitor)
 
     @pytest.mark.parametrize("scheme", ["spectral", "central"])
     def test_generic_fixture_passes(self, scheme):
@@ -320,7 +326,7 @@ class TestVerifyLeastAction:
         u_a = random_potential(g, rng)
         u_b = random_potential(g, rng)
         q = LeastActionQuery(u_a, u_b, 1.0, Power(1.0), time_steps=16)
-        geo = connecting_geodesic(q)
+        geo = weak_geodesic(q.start, q.end, (0.0, q.duration), q.tol, q.time_steps)
         direct = verify_least_action(q, count=4, seed=0)
         reused = verify_least_action(q, count=4, seed=0, geodesic=geo)
         assert direct.worst == reused.worst
@@ -483,7 +489,7 @@ class TestActionConvexity:
         g = Grid(8)
         path = linear_path(constant_potential(g, 0.0), constant_potential(g, 1.0), 0.0, 1.0, 4)
         report = verify_action_convexity(
-            Power(1.0), path, path, 1.0, path.times, tol=1e-6, time_steps=8
+            Power(1.0), path, path, 1.0, 1, tol=1e-6, time_steps=8
         )
         assert report.passed
         assert max(abs(v) for v in report.provenance["values"]) < 1e-4
@@ -499,7 +505,7 @@ class TestActionConvexity:
             u_path,
             v_path,
             s_duration,
-            u_path.times[::2],
+            2,
             tol=1e-6,
             time_steps=8,
             continuation_tol=1e-6,
@@ -519,7 +525,7 @@ class TestActionConvexity:
             random_potential(g, rng), random_potential(g, rng), (0.0, 1.0), 1e-5, 16
         )
         report = verify_action_convexity(
-            Power(2.0), u_path, v_path, 1.0, u_path.times[::4], tol=5e-3
+            Power(2.0), u_path, v_path, 1.0, 4, tol=5e-3
         )
         assert report.passed
 
@@ -527,14 +533,15 @@ class TestActionConvexity:
         g = Grid(8)
         path = linear_path(constant_potential(g, 0.0), constant_potential(g, 1.0), 0.0, 1.0, 4)
         other = linear_path(constant_potential(g, 0.0), constant_potential(g, 1.0), 0.0, 2.0, 4)
+        times = np.array([0.0, 0.25, 0.5, 1.0])
+        times.setflags(write=False)
+        uneven = PotentialPath(times, tuple(constant_potential(g, t) for t in times), "piecewise-linear")
         with pytest.raises(ValueError):
-            verify_action_convexity(Power(1.0), path, other, 1.0, path.times)
+            verify_action_convexity(Power(1.0), path, other, 1.0, 1)
         with pytest.raises(ValueError):
-            verify_action_convexity(Power(1.0), path, path, 1.0, path.times[:2])
+            verify_action_convexity(Power(1.0), path, path, 1.0, 3)
         with pytest.raises(ValueError):
-            verify_action_convexity(Power(1.0), path, path, 1.0, [0.0, 0.25, 0.8])
-        with pytest.raises(ValueError):
-            verify_action_convexity(Power(1.0), path, path, 1.0, [0.0, 0.3, 0.6])
+            verify_action_convexity(Power(1.0), uneven, uneven, 1.0, 1)
 
 
 class TestLeastActionContinuity:

@@ -1,13 +1,19 @@
 """Tests for the command-line front end: config parsing, artifacts, suites."""
 
+import configparser
+import contextlib
 import csv
 import json
+import signal
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import mal.geodesics
 from mal.cli import (
+    CONFIG_KEYS,
     ConfigError,
     _concavity_control,
     build_fixture,
@@ -98,6 +104,11 @@ class TestParseLagrangian:
         for text in ("power:pnan", "power:pinf", "lorentz:anan"):
             with pytest.raises(ConfigError):
                 parse_lagrangian(text, tmp_path)
+        member = {"offset": 0.0, "bounds": [0.0, 1.0], "levels": [1.0]}
+        for members in ([1], [{**member, "offset": None}], [{**member, "offset": 10**400}]):
+            (tmp_path / "bad.json").write_text(json.dumps(members))
+            with pytest.raises(ConfigError):
+                parse_lagrangian("supfam:bad.json", tmp_path)
 
 
 class TestParseConfig:
@@ -165,6 +176,82 @@ class TestParseConfig:
         assert np.array_equal(start.field, again.field)
 
 
+BAND_LIMITED = "kind = band-limited\nseed = 5\namplitude = 0.02\nmax_mode = 2"
+
+# drawn config values: free text, and numbers in the forms a reader meets
+VALUES = st.one_of(st.text(), st.integers().map(str), st.floats().map(repr))
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError inside the block once it has run for the given wall time."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+FUZZ = settings(
+    derandomize=True, max_examples=50, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+class TestConfigFuzz:
+    @pytest.mark.parametrize(
+        "section,key", sorted((s, k) for s, keys in CONFIG_KEYS.items() for k in keys)
+    )
+    @FUZZ
+    @given(value=VALUES)
+    def test_any_value_parses_or_is_a_config_error(self, tmp_path, section, key, value):
+        text = BASE_CONFIG.format(out=tmp_path / "out")
+        if section == "fixture" and key in ("seed", "amplitude", "max_mode"):
+            text = text.replace("kind = constants\nstart = 0.0\nend = 1.0", BAND_LIMITED)
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(text)
+        body = {s: dict(parser[s]) for s in parser.sections()}
+        body[section][key] = value
+        path = tmp_path / "fuzz.ini"
+        path.write_text("".join(
+            f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in kv.items()) for s, kv in body.items()
+        ))
+        try:
+            cfg = parse_config(str(path))
+        except ConfigError:
+            return
+        if section == "fixture":
+            with time_limit(2.0):  # an accepted max_mode must not make the draw run for ages
+                build_fixture(cfg)
+
+    @settings(FUZZ, max_examples=200)
+    @given(members=st.one_of(
+        st.recursive(
+            JSON_SCALARS,
+            lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+            max_leaves=8,
+        ),
+        st.lists(st.fixed_dictionaries({
+            "offset": JSON_SCALARS, "bounds": st.lists(JSON_SCALARS), "levels": st.lists(JSON_SCALARS),
+        }), max_size=3),
+    ))
+    def test_any_supfam_file_parses_or_is_a_config_error(self, tmp_path, members):
+        (tmp_path / "members.json").write_text(json.dumps(members))
+        try:
+            spec = parse_lagrangian("supfam:members.json", tmp_path)
+        except ConfigError:
+            return
+        assert isinstance(spec, SupFamily)
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -216,11 +303,29 @@ class TestSolve:
             ({"mode = epsilon": "mode = epsilon\nmax_iter = 60"}, "[geodesic] max_iter"),
             ({"solver_tol = 1e-8": "solver_tl = 1e-8"}, "[geodesic] solver_tl"),
             ({"[output]": "[outputs]"}, "[outputs]"),
+            ({"start = 0.0": "start = %(x)s"}, "[fixture] start"),
+            ({"start = 0.0": "start = 1e308"}, "[fixture] start"),
+            ({constants: band_limited + "1e308"}, "[fixture] amplitude"),
+            ({constants: band_limited + "0.02\nseed = -1"}, "[fixture] seed"),
+            ({constants: band_limited + "0.02\nmax_mode = -1"}, "[fixture] max_mode"),
+            ({constants: band_limited + "0.02\nmax_mode = 4"}, "[fixture] max_mode"),
+            ({"seed = 3": "seed = -2"}, "[verification] seed"),
         ]
         for replacements, section in cases:
             path = write_config(tmp_path, **replacements)
             assert main(["solve", "--config", str(path)]) == 3
             assert section in capsys.readouterr().err
+
+    def test_undecodable_config_exits_three(self, tmp_path, capsys):
+        path = write_config(tmp_path)
+        path.write_bytes(path.read_bytes().replace(b"n = 8", b"n = 8\xff"))
+        assert main(["solve", "--config", str(path)]) == 3
+        assert "config file" in capsys.readouterr().err
+
+    def test_percent_in_value_is_literal(self, tmp_path):
+        path = write_config(tmp_path, **{str(tmp_path / "out"): str(tmp_path / "o%ut")})
+        assert main(["solve", "--config", str(path)]) == 0
+        assert (tmp_path / "o%ut" / "path.csv").exists()
 
     def test_solver_failure_exits_two(self, tmp_path, capsys):
         path = write_config(tmp_path, **{"solver_tol = 1e-8": "solver_tol = 1e-30"})
