@@ -52,7 +52,7 @@ from .geodesics import (
     solve_epsilon_geodesic,
     weak_geodesic,
 )
-from .grid import Grid, Potential, make_potential
+from .grid import SCHEMES, Grid, Potential, make_potential
 from .lagrangians import (
     LagrangianSpec,
     LorentzWeak,
@@ -68,14 +68,48 @@ class ConfigError(ValueError):
     """Configuration file is malformed; the message names the field."""
 
 
-# every key a config section may set, whatever the fixture kind or mode
-CONFIG_KEYS = {
-    "grid": {"n", "scheme"},
-    "fixture": {"kind", "start", "end", "seed", "amplitude", "max_mode"},
-    "lagrangian": {"spec"},
-    "geodesic": {"duration", "time_steps", "epsilon", "continuation_tol", "solver_tol", "mode"},
-    "verification": {"seed", "count", "tolerance"},
-    "output": {"directory", "formats"},
+# (admissible, message) pairs several keys share
+POSITIVE = (lambda x: x > 0, "must be positive")
+NONNEGATIVE = (lambda x: x >= 0, "must be nonnegative")
+# far below the ~1e306 at which a field's Fourier transform overflows
+MODERATE = (lambda x: abs(x) <= 1e6, "magnitude must be at most 1e6")
+ANY = (lambda value: True, "")
+
+# the [fixture] keys each kind reads
+FIXTURE_KINDS = {"constants": ("start", "end"), "band-limited": ("seed", "amplitude", "max_mode")}
+
+# Every key a config may set: (section, key) -> (cast, default, admissible,
+# message).  The default is config-file text, read like a given value; None
+# marks a required key.  The message states the rule admissible tests.  A key
+# that is present is validated even when the fixture kind or the mode does
+# not read it.
+CONFIG_SCHEMA = {
+    # desk scale: a 64 x 64 grid with 128 time steps still solves in memory
+    ("grid", "n"): (int, None, lambda n: n % 2 == 0 and 4 <= n <= 64, "must be even in [4, 64]"),
+    ("grid", "scheme"): (str, "spectral", SCHEMES.__contains__, f"must be one of {SCHEMES}"),
+    ("fixture", "kind"): (str, "band-limited", FIXTURE_KINDS.__contains__, "unknown kind"),
+    ("fixture", "start"): (float, "0.0", *MODERATE),
+    ("fixture", "end"): (float, "1.0", *MODERATE),
+    ("fixture", "seed"): (int, "0", *NONNEGATIVE),
+    ("fixture", "amplitude"): (float, "0.02", lambda a: 0 < a <= 1e6, "must lie in (0, 1e6]"),
+    # parse_config also bounds a band-limited fixture's max_mode below n/2
+    ("fixture", "max_mode"): (int, "3", lambda m: m >= 1, "must be at least 1"),
+    # parse_lagrangian validates the form
+    ("lagrangian", "spec"): (str, "power:p1", *ANY),
+    ("geodesic", "duration"): (float, "1.0", *POSITIVE),
+    ("geodesic", "time_steps"): (int, "32", lambda k: 2 <= k <= 128, "must lie in [2, 128]"),
+    ("geodesic", "epsilon"): (float, "0.1", *POSITIVE),
+    ("geodesic", "continuation_tol"): (float, "1e-6", *POSITIVE),
+    ("geodesic", "solver_tol"): (float, "1e-8", *POSITIVE),
+    ("geodesic", "mode"): (str, "weak", ("weak", "epsilon").__contains__, "unknown mode"),
+    ("verification", "seed"): (int, "0", *NONNEGATIVE),
+    ("verification", "count"): (int, "20", lambda c: c >= 1, "must be at least 1"),
+    ("verification", "tolerance"): (float, "5e-3", *POSITIVE),
+    ("output", "directory"): (Path, "out", *ANY),
+    ("output", "formats"): (
+        lambda text: tuple(f.strip() for f in text.split(",")), "csv,json",
+        lambda formats: set(formats) <= {"csv", "json"}, "each format must be csv or json",
+    ),
 }
 
 
@@ -99,21 +133,6 @@ class ExperimentConfig:
     out_dir: Path
     formats: tuple[str, ...]
     config_hash: str
-
-
-def _get(parser, section, key, cast, default=None):
-    if not parser.has_option(section, key):
-        if default is None:
-            raise ConfigError(f"[{section}] {key}: required field is missing")
-        return default
-    raw = parser.get(section, key)
-    try:
-        value = cast(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from None
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"[{section}] {key}: must be finite, got {raw!r}")
-    return value
 
 
 def parse_lagrangian(text: str, base_dir: Path) -> LagrangianSpec:
@@ -143,15 +162,13 @@ def parse_lagrangian(text: str, base_dir: Path) -> LagrangianSpec:
                 )
                 members.append((float(m["offset"]), step))
             return SupFamily(tuple(members))
-    except ConfigError:
-        raise
     except (OSError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"[lagrangian] spec: {exc}") from None
     raise ConfigError(f"[lagrangian] spec: unknown form {text!r}")
 
 
 def parse_config(path: str) -> ExperimentConfig:
-    """Read and validate an INI experiment config.
+    """Read an INI experiment config and validate it against CONFIG_SCHEMA.
 
     Raises:
         ConfigError: naming the offending section and key.
@@ -165,114 +182,55 @@ def parse_config(path: str) -> ExperimentConfig:
     if not read:
         raise ConfigError(f"config file: cannot read {path!r}")
 
-    n = _get(parser, "grid", "n", int)
-    scheme = _get(parser, "grid", "scheme", str, "spectral")
-    try:
-        grid = Grid(n, scheme)
-    except ValueError as exc:
-        raise ConfigError(f"[grid]: {exc}") from None
+    values = {section: {} for section, _ in CONFIG_SCHEMA}
+    for (section, key), (cast, default, admissible, message) in CONFIG_SCHEMA.items():
+        raw = parser.get(section, key, fallback=default)
+        if raw is None:
+            raise ConfigError(f"[{section}] {key}: required field is missing")
+        try:
+            value = cast(raw)
+        except (TypeError, ValueError):
+            raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from None
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"[{section}] {key}: must be finite, got {raw!r}")
+        if not admissible(value):
+            raise ConfigError(f"[{section}] {key}: {message}, got {raw!r}")
+        values[section][key] = value
 
-    kind = _get(parser, "fixture", "kind", str, "band-limited")
-    if kind == "constants":
-        params = {
-            "start": _get(parser, "fixture", "start", float, 0.0),
-            "end": _get(parser, "fixture", "end", float, 1.0),
-        }
-    elif kind == "band-limited":
-        params = {
-            "seed": _get(parser, "fixture", "seed", int, 0),
-            "amplitude": _get(parser, "fixture", "amplitude", float, 0.02),
-            "max_mode": _get(parser, "fixture", "max_mode", int, 3),
-        }
-        if params["seed"] < 0:
-            raise ConfigError("[fixture] seed: must be nonnegative")
-        if params["amplitude"] <= 0.0:
-            raise ConfigError("[fixture] amplitude: must be positive")
-        if not 1 <= params["max_mode"] < n // 2:
-            raise ConfigError(f"[fixture] max_mode: must lie in [1, n/2) = [1, {n // 2})")
-    else:
-        raise ConfigError(f"[fixture] kind: unknown kind {kind!r}")
-    # far below the ~1e306 at which a field's Fourier transform overflows
-    for key in ("start", "end", "amplitude"):
-        if abs(params.get(key, 0.0)) > 1e6:
-            raise ConfigError(f"[fixture] {key}: magnitude must be at most 1e6")
-
-    base_dir = Path(path).resolve().parent
-    spec = parse_lagrangian(_get(parser, "lagrangian", "spec", str, "power:p1"), base_dir)
-
-    duration = _get(parser, "geodesic", "duration", float, 1.0)
-    if duration <= 0.0:
-        raise ConfigError("[geodesic] duration: must be positive")
-    time_steps = _get(parser, "geodesic", "time_steps", int, 32)
-    if time_steps < 2:
-        raise ConfigError("[geodesic] time_steps: need at least two")
-    epsilon = _get(parser, "geodesic", "epsilon", float, 0.1)
-    if epsilon <= 0.0:
-        raise ConfigError("[geodesic] epsilon: must be positive")
-    continuation_tol = _get(parser, "geodesic", "continuation_tol", float, 1e-6)
-    solver_tol = _get(parser, "geodesic", "solver_tol", float, 1e-8)
-    if continuation_tol <= 0.0 or solver_tol <= 0.0:
-        raise ConfigError("[geodesic] tolerances: must be positive")
-    mode = _get(parser, "geodesic", "mode", str, "weak")
-    if mode not in ("weak", "epsilon"):
-        raise ConfigError(f"[geodesic] mode: unknown mode {mode!r}")
-
-    seed = _get(parser, "verification", "seed", int, 0)
-    if seed < 0:
-        raise ConfigError("[verification] seed: must be nonnegative")
-    count = _get(parser, "verification", "count", int, 20)
-    if count < 1:
-        raise ConfigError("[verification] count: need at least one")
-    tolerance = _get(parser, "verification", "tolerance", float, 5e-3)
-    if tolerance <= 0.0:
-        raise ConfigError("[verification] tolerance: must be positive")
-
-    out_dir = Path(_get(parser, "output", "directory", str, "out"))
-    formats = tuple(
-        f.strip() for f in _get(parser, "output", "formats", str, "csv,json").split(",")
-    )
-    for f in formats:
-        if f not in ("csv", "json"):
-            raise ConfigError(f"[output] formats: unknown format {f!r}")
     for section in parser.sections():
-        if section not in CONFIG_KEYS:
+        if section not in values:
             raise ConfigError(f"[{section}]: unknown section")
         for key in parser.options(section):
-            if key not in CONFIG_KEYS[section]:
+            if (section, key) not in CONFIG_SCHEMA:
                 raise ConfigError(f"[{section}] {key}: unknown key")
 
-    canonical = json.dumps(
-        {
-            s: dict(sorted(parser.items(s)))
-            for s in sorted(parser.sections())
-        },
-        sort_keys=True,
-    )
-    digest = hashlib.sha256(canonical.encode()).hexdigest()
+    n = values["grid"]["n"]
+    kind = values["fixture"]["kind"]
+    fixture_params = {key: values["fixture"][key] for key in FIXTURE_KINDS[kind]}
+    if kind == "band-limited" and not fixture_params["max_mode"] < n // 2:
+        raise ConfigError(f"[fixture] max_mode: must lie in [1, n/2) = [1, {n // 2})")
 
+    # sort_keys orders the sections and the keys within each
+    canonical = json.dumps({s: dict(parser.items(s)) for s in parser.sections()}, sort_keys=True)
+    # the [geodesic] and [verification] keys are named like their config fields
     return ExperimentConfig(
-        grid, kind, params, spec, duration, time_steps, epsilon,
-        continuation_tol, solver_tol, mode, seed, count, tolerance,
-        out_dir, formats, digest,
+        Grid(n, values["grid"]["scheme"]), kind, fixture_params,
+        parse_lagrangian(values["lagrangian"]["spec"], Path(path).resolve().parent),
+        **values["geodesic"], **values["verification"],
+        out_dir=values["output"]["directory"], formats=values["output"]["formats"],
+        config_hash=hashlib.sha256(canonical.encode()).hexdigest(),
     )
 
 
 def build_fixture(cfg: ExperimentConfig) -> tuple[Potential, Potential]:
     """Endpoint pair named by the config's fixture section."""
-    g = cfg.grid
+    g, params = cfg.grid, cfg.fixture_params
     if cfg.fixture_kind == "constants":
-        shape = (g.n, g.n)
-        return (
-            make_potential(np.full(shape, cfg.fixture_params["start"]), g),
-            make_potential(np.full(shape, cfg.fixture_params["end"]), g),
-        )
-    rng = np.random.default_rng(cfg.fixture_params["seed"])
-    amp = cfg.fixture_params["amplitude"]
-    mode = cfg.fixture_params["max_mode"]
-    return (
-        random_potential(g, rng, amplitude=amp, max_mode=mode),
-        random_potential(g, rng, amplitude=amp, max_mode=mode),
-    )
+        return tuple(make_potential(np.full((g.n, g.n), params[k]), g) for k in ("start", "end"))
+    # both endpoints come from one stream, the start first
+    rng = np.random.default_rng(params["seed"])
+    amp, mode = params["amplitude"], params["max_mode"]
+    return tuple(random_potential(g, rng, amplitude=amp, max_mode=mode) for _ in range(2))
 
 
 def _fmt(x: float) -> str:
@@ -538,9 +496,7 @@ def cmd_rearrange(in_path: str, out_path: str) -> int:
                     raise ConfigError(f"rearrange input: row {row!r} needs value,weight")
                 values.append(float(row[0]))
                 weights.append(float(row[1]))
-    except OSError as exc:
-        raise ConfigError(f"rearrange input: {exc}") from None
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"rearrange input: {exc}") from None
     if not values:
         raise ConfigError("rearrange input: no data rows")

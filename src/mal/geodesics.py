@@ -64,12 +64,13 @@ class EpsGeodesicProblem:
         a, b = self.interval
         if not a < b:
             raise ValueError("interval must satisfy a < b")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        # written so that NaN, which fails every comparison, is rejected too
+        if not 0 <= self.epsilon < np.inf:
+            raise ValueError("epsilon must be finite and >= 0")
         if self.time_steps < 2:
             raise ValueError("need at least two time steps")
-        if self.solver_tol <= 0:
-            raise ValueError("solver_tol must be positive")
+        if not 0 < self.solver_tol < np.inf:
+            raise ValueError("solver_tol must be finite and positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 

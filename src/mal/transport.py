@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import NonConvergence, NotKahler, StepUnstable
+from .errors import NonConvergence, StepUnstable
 from .grid import Grid, GridField, Potential, _frozen, fourier_symbols, gradient, make_potential
 
 INTERPOLATIONS = ("piecewise-linear", "solver-native")
@@ -158,10 +158,10 @@ class PotentialPath:
     """Discrete path of potentials over increasing knot times.
 
     interpolation "piecewise-linear" means the path is the linear interpolant
-    of the knots (competitor paths); segments are admission-tested at their
-    midpoints since a linear segment between potentials could exit the
-    admissible space.  "solver-native" marks knots produced by the geodesic
-    solver, differenced centrally.
+    of the knots (competitor paths); the density is affine in the field, so
+    every point of a segment between admissible knots is admissible too.
+    "solver-native" marks knots produced by the geodesic solver, differenced
+    centrally.
     """
 
     times: NDArray[np.float64]
@@ -180,12 +180,6 @@ class PotentialPath:
         g = self.knots[0].grid
         if any(k.grid != g for k in self.knots):
             raise ValueError("all knots must share one grid")
-        if self.interpolation == "piecewise-linear":
-            dens = self.densities
-            mid = 0.5 * (dens[:-1] + dens[1:])
-            m = float(mid.min())
-            if m <= 0.0:
-                raise NotKahler(m)
 
     @property
     def grid(self) -> Grid:

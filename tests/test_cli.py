@@ -4,7 +4,9 @@ import configparser
 import contextlib
 import csv
 import json
+import re
 import signal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 import mal.geodesics
 from mal.cli import (
-    CONFIG_KEYS,
+    CONFIG_SCHEMA,
     ConfigError,
     _concavity_control,
     build_fixture,
@@ -111,7 +113,17 @@ class TestParseLagrangian:
                 parse_lagrangian("supfam:bad.json", tmp_path)
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 class TestParseConfig:
+    def test_readme_example_parses(self, tmp_path):
+        example = re.search(r"```ini\n(.*?)```", README.read_text(), re.DOTALL).group(1)
+        path = tmp_path / "readme.ini"
+        path.write_text(example)
+        cfg = parse_config(str(path))
+        assert cfg.grid == Grid(32) and cfg.fixture_kind == "band-limited" and cfg.mode == "weak"
+
     def test_roundtrip(self, tmp_path):
         cfg = parse_config(str(write_config(tmp_path)))
         assert cfg.grid.n == 8 and cfg.grid.scheme == "spectral"
@@ -207,9 +219,7 @@ FUZZ = settings(
 
 
 class TestConfigFuzz:
-    @pytest.mark.parametrize(
-        "section,key", sorted((s, k) for s, keys in CONFIG_KEYS.items() for k in keys)
-    )
+    @pytest.mark.parametrize("section,key", sorted(CONFIG_SCHEMA))
     @FUZZ
     @given(value=VALUES)
     def test_any_value_parses_or_is_a_config_error(self, tmp_path, section, key, value):
@@ -310,6 +320,11 @@ class TestSolve:
             ({constants: band_limited + "0.02\nmax_mode = -1"}, "[fixture] max_mode"),
             ({constants: band_limited + "0.02\nmax_mode = 4"}, "[fixture] max_mode"),
             ({"seed = 3": "seed = -2"}, "[verification] seed"),
+            ({"n = 8": "n = 1000000"}, "[grid] n"),
+            ({"n = 8": "n = 66"}, "[grid] n"),
+            ({"time_steps = 8": "time_steps = 1000000000"}, "[geodesic] time_steps"),
+            # a key the fixture kind does not read is still validated
+            ({"end = 1.0": "end = 1.0\nseed = -1"}, "[fixture] seed"),
         ]
         for replacements, section in cases:
             path = write_config(tmp_path, **replacements)

@@ -52,6 +52,15 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="epsilon"):
             EpsGeodesicProblem(u, u, (0.0, 1.0), -0.5)
 
+    @pytest.mark.parametrize("field", ["epsilon", "solver_tol"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_scalars_rejected(self, field, bad):
+        # NaN fails every comparison, so a bare `x <= 0` test let it through
+        u = constant_potential(Grid(8), 0.0)
+        p = EpsGeodesicProblem(u, u, (0.0, 1.0), 1.0)
+        with pytest.raises(ValueError, match=field):
+            replace(p, **{field: bad})
+
     def test_time_steps_minimum(self):
         u = constant_potential(Grid(8), 0.0)
         with pytest.raises(ValueError, match="time steps"):

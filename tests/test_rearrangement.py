@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import dyadic_weighted, equal_weighted
 
@@ -98,6 +100,30 @@ class TestDecreasingRearrangement:
         r = rearrange_values([1.0, 2.0, 1.0, 2.0], [0.25, 0.25, 0.25, 0.25])
         assert r.levels.tolist() == [2.0, 1.0]
         assert r.bounds.tolist() == [0.0, 0.5, 1.0]
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        # few distinct values, so ties are common
+        cells=st.lists(
+            st.tuples(st.integers(-3, 3).map(float), st.floats(1e-3, 1e3)), min_size=1, max_size=12
+        ),
+        at=st.integers(0, 11),
+        share=st.floats(0.01, 0.99),
+    )
+    def test_properties(self, cells, at, share):
+        values, weights = (np.array(column) for column in zip(*cells))
+        r = rearrange_values(values, weights)
+        assert np.all(np.diff(r.levels) < 0)
+        assert r.bounds[-1] == pytest.approx(weights.sum(), rel=1e-12)
+        # splitting one cell into two of the same value, its weight shared, is a tie
+        i = at % values.size
+        w = weights[i]
+        split = rearrange_values(
+            np.insert(values, i, values[i]),
+            np.concatenate([weights[:i], [share * w, (1.0 - share) * w], weights[i + 1:]]),
+        )
+        assert np.array_equal(split.levels, r.levels)
+        np.testing.assert_allclose(split.bounds, r.bounds, rtol=1e-12, atol=1e-12 * r.bounds[-1])
 
 
 class TestEquidistributed:
