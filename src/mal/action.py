@@ -10,7 +10,8 @@ Least action between two potentials is computed through the connecting weak
 geodesic: along such a path the action realizes the infimum over piecewise C1
 competitors, which turns the minimization into a solve.  Randomized
 piecewise-linear competitor paths act as upper-bound witnesses in the
-verification experiments, never as the estimator.
+verification experiments, never as the estimator; one set is drawn per
+endpoint pair and seed and shared by the Lagrangians checked against it.
 
 The verification operations return the VerificationReport of
 mal.lagrangians for the structural facts: convexity of L along Jacobi fields,
@@ -37,7 +38,7 @@ from .geodesics import (
     solve_epsilon_geodesic,
     weak_geodesic,
 )
-from .grid import Potential, WeightedValues, make_potential
+from .grid import Grid, Potential, WeightedValues, laplacian, make_potential
 from .lagrangians import LagrangianSpec, VerificationReport, evaluate
 from .rearrangement import decreasing_rearrangement, step_l1_distance
 from .transport import PotentialPath
@@ -109,6 +110,11 @@ def least_action(q: LeastActionQuery, geodesic: PotentialPath | None = None) -> 
     return path_action(q.spec, geodesic)
 
 
+# The last competitor set drawn: its competitor_paths key and, per path, the
+# knot times and the interior knots.  One slot, so it holds one set at most.
+_COMPETITORS: dict = {}
+
+
 def competitor_paths(
     start: Potential,
     end: Potential,
@@ -123,7 +129,17 @@ def competitor_paths(
     Each path has knot_budget interior knots at jittered times; each interior
     knot perturbs the linear interpolant by a random band-limited field,
     redrawn with halved amplitude while the candidate leaves the admissible
-    set.  Deterministic for a fixed seed.
+    set.  The density is affine in the field, so a draw at s = t / duration is
+    admissible exactly when (1 - s) rho_start + s rho_end + lap(draw) / 2 > 0;
+    only the accepted knot is built as a Potential, and a knot that still
+    fails make_potential by rounding counts as one more rejection.
+    Deterministic for a fixed seed.
+
+    The last set drawn is kept in a one-slot memo keyed by the arguments,
+    endpoints by identity, so the Lagrangians of one least-action check share
+    one draw.  The memo holds the knot times and the interior knot Potentials
+    only; every call wraps them in fresh paths, whose cached stacks therefore
+    die with the caller's loop.  A different key clears the slot first.
 
     Raises:
         GenerationFailed: if a knot stays inadmissible after 50 shrinkages.
@@ -134,33 +150,62 @@ def competitor_paths(
         raise ValueError("knot_budget must be nonnegative")
     if not duration > 0.0:
         raise ValueError("duration must be positive")
+    key = (start, end, duration, count, seed, knot_budget, amplitude)
+    drawn = _COMPETITORS.get(key)
+    if drawn is None:
+        _COMPETITORS.clear()
+        drawn = _draw_competitors(start, end, duration, count, seed, knot_budget, amplitude)
+        _COMPETITORS[key] = drawn
+    return [
+        PotentialPath(times, (start, *knots, end), "piecewise-linear") for times, knots in drawn
+    ]
+
+
+def _draw_competitors(
+    start: Potential,
+    end: Potential,
+    duration: float,
+    count: int,
+    seed: int,
+    knot_budget: int,
+    amplitude: float,
+) -> list[tuple[np.ndarray, tuple[Potential, ...]]]:
+    """(times, interior knots) of each competitor_paths path, drawn afresh."""
     g = start.grid
     rng = np.random.default_rng(seed)
-    paths = []
+    drawn = []
     for _ in range(count):
         times = np.linspace(0.0, duration, knot_budget + 2)
         if knot_budget:
             spacing = duration / (knot_budget + 1)
             times[1:-1] += 0.3 * spacing * rng.uniform(-1.0, 1.0, size=knot_budget)
-        knots = [start]
+        knots = []
         for t in times[1:-1]:
             s = t / duration
             base = (1.0 - s) * start.field + s * end.field
+            density = (1.0 - s) * start.density + s * end.density
             amp = amplitude
-            for shrink in range(51):
-                try:
-                    knots.append(make_potential(base + random_band_limited(g, rng, amp), g))
-                    break
-                except NotKahler:
-                    amp *= 0.5
+            for _ in range(51):
+                draw = random_band_limited(g, rng, amp)
+                amp *= 0.5
+                if _admissible(density, draw, g):
+                    try:
+                        knots.append(make_potential(base + draw, g))
+                        break
+                    except NotKahler:
+                        pass
             else:
                 raise GenerationFailed(
                     f"no admissible knot at t = {t:.4g} after 50 amplitude shrinkages"
                 )
-        knots.append(end)
         times.setflags(write=False)
-        paths.append(PotentialPath(times, tuple(knots), "piecewise-linear"))
-    return paths
+        drawn.append((times, tuple(knots)))
+    return drawn
+
+
+def _admissible(density: np.ndarray, draw: np.ndarray, grid: Grid) -> bool:
+    """Whether adding draw to a field of the given density keeps it positive."""
+    return bool((density + 0.5 * laplacian(draw, grid)).min() > 0.0)
 
 
 def verify_least_action(
@@ -180,9 +225,9 @@ def verify_least_action(
     competitor actions, which scales with the competitor knot amplitude.
     """
     g_action = least_action(q, geodesic)
-    margins = []
-    for comp in competitor_paths(q.start, q.end, q.duration, count, seed, amplitude=amplitude):
-        margins.append(path_action(q.spec, comp) - g_action)
+    paths = competitor_paths(q.start, q.end, q.duration, count, seed, amplitude=amplitude)
+    # each path is dropped once measured, so its cached stacks do not pile up
+    margins = [path_action(q.spec, paths.pop(0)) - g_action for _ in range(count)]
     worst = max(0.0, -min(margins))
     return VerificationReport(
         "least-action",

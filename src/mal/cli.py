@@ -143,16 +143,22 @@ def parse_lagrangian(text: str, base_dir: Path) -> LagrangianSpec:
     with keys "offset", "bounds", "levels".
     """
     kind, _, arg = text.partition(":")
+
+    def number(letter):
+        if not arg.startswith(letter):
+            raise ValueError(f"expected {kind}:{letter}<number>, got {text!r}")
+        return float(arg[1:])
+
     try:
         if kind == "power":
-            return Power(float(arg.lstrip("p")))
+            return Power(number("p"))
         if kind == "orlicz":
-            p = float(arg.lstrip("p"))
+            p = number("p")
             if p < 1.0:
                 raise ValueError("orlicz exponent must be >= 1")
             return Orlicz(lambda t: np.abs(t) ** p)
         if kind == "lorentz":
-            return LorentzWeak(float(arg.lstrip("a")))
+            return LorentzWeak(number("a"))
         if kind == "supfam":
             members = []
             for m in json.loads((base_dir / arg).read_text()):

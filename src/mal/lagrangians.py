@@ -94,22 +94,10 @@ class LorentzWeak:
 
     def of_weighted(self, wv: WeightedValues) -> float:
         step = rearrange_values(np.abs(wv.values), wv.weights)
-        prefix = step.prefix_integrals()
-        s = step.bounds
-        best = float(np.max(prefix[1:] / s[1:] ** self.alpha))
-        # each segment is linear in s, so the ratio's only interior critical
-        # point has a closed form; probe it to cover the segment completely
-        for j in range(step.levels.size):
-            v = float(step.levels[j])
-            if v <= 0.0:
-                continue
-            a = float(prefix[j]) - v * float(s[j])
-            if a <= 0.0:
-                continue
-            s_crit = self.alpha * a / ((1.0 - self.alpha) * v)
-            if s[j] < s_crit < s[j + 1]:
-                best = max(best, (a + v * s_crit) / s_crit**self.alpha)
-        return best
+        # on the segment after bound s_j the ratio is (a + v s) / s^alpha with
+        # v > 0 and a = prefix_j - v s_j >= 0 (the levels decrease); its only
+        # critical point is a minimum, so the sup sits on a segment end
+        return float(np.max(step.prefix_integrals()[1:] / step.bounds[1:] ** self.alpha))
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,3 +25,17 @@ def equal_weighted(rng, k, value_span=16):
     values = rng.integers(-value_span, value_span + 1, size=k).astype(float)
     weights = np.full(k, 1.0 / k)
     return values, weights
+
+
+def sorted_merge_oracle(values, weights):
+    """(bounds, levels) of the decreasing rearrangement by sorting and merging ties."""
+    order = np.argsort(-values, kind="stable")
+    sv, sw = values[order], weights[order]
+    levels, widths = [sv[0]], [sw[0]]
+    for v, w in zip(sv[1:], sw[1:]):
+        if v == levels[-1]:
+            widths[-1] += w
+        else:
+            levels.append(v)
+            widths.append(w)
+    return np.concatenate([[0.0], np.cumsum(widths)]), np.asarray(levels)

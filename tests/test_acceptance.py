@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import dyadic_weighted
+from helpers import dyadic_weighted, sorted_merge_oracle
 
 from mal.errors import HomogeneityRequired
 from mal.fixtures import random_band_limited, random_potential
@@ -124,19 +124,6 @@ def test_02_monge_ampere_residual_calibration():
     )
 
 
-def _sorted_merge_oracle(values, weights):
-    order = np.argsort(-values, kind="stable")
-    sv, sw = values[order], weights[order]
-    levels, widths = [sv[0]], [sw[0]]
-    for v, w in zip(sv[1:], sw[1:]):
-        if v == levels[-1]:
-            widths[-1] += w
-        else:
-            levels.append(v)
-            widths.append(w)
-    return np.concatenate([[0.0], np.cumsum(widths)]), np.asarray(levels)
-
-
 def test_03_rearrangement_engine_matches_brute_force_oracles():
     rng = np.random.default_rng(2024)
     instances = failures = 0
@@ -146,7 +133,7 @@ def test_03_rearrangement_engine_matches_brute_force_oracles():
         k = int(rng.integers(1, 9))
         vals, w = dyadic_weighted(rng, k, denom_pow=6)
         r = rearrange_values(vals, w)
-        ob, ol = _sorted_merge_oracle(vals, w)
+        ob, ol = sorted_merge_oracle(vals, w)
         instances += 1
         failures += not (np.array_equal(r.bounds, ob) and np.array_equal(r.levels, ol))
 

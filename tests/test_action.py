@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from mal import action
 from mal.action import (
     LeastActionQuery,
+    _admissible,
     competitor_paths,
     least_action,
     midpoint_convexity_margin,
@@ -16,8 +18,8 @@ from mal.action import (
     verify_least_action_continuity,
     verify_noether,
 )
-from mal.errors import GenerationFailed, HomogeneityRequired
-from mal.fixtures import random_potential
+from mal.errors import GenerationFailed, HomogeneityRequired, NotKahler
+from mal.fixtures import random_band_limited, random_potential
 from mal.geodesics import EpsGeodesicProblem, solve_epsilon_geodesic, weak_geodesic
 from mal.grid import Grid, make_potential
 from mal.lagrangians import LorentzWeak, Orlicz, Power, evaluate
@@ -251,12 +253,95 @@ class TestCompetitorPaths:
         u_a = random_potential(g, rng)
         u_b = random_potential(g, rng)
         first = competitor_paths(u_a, u_b, 1.0, 3, seed=5)
-        second = competitor_paths(u_a, u_b, 1.0, 3, seed=5)
+        # equal endpoints that are new objects miss the memo, so this redraws
+        v_a, v_b = make_potential(u_a.field, g), make_potential(u_b.field, g)
+        second = competitor_paths(v_a, v_b, 1.0, 3, seed=5)
         other = competitor_paths(u_a, u_b, 1.0, 3, seed=6)
         for a, b in zip(first, second):
+            assert a.knots[1] is not b.knots[1]
             assert np.array_equal(a.times, b.times)
             assert np.array_equal(a.fields, b.fields)
         assert not np.array_equal(first[0].fields, other[0].fields)
+
+    def test_repeat_call_wraps_memoized_knots_in_fresh_paths(self):
+        g = Grid(16)
+        rng = np.random.default_rng(3)
+        u_a, u_b = random_potential(g, rng), random_potential(g, rng)
+        first = competitor_paths(u_a, u_b, 1.0, 2, seed=5)
+        again = competitor_paths(u_a, u_b, 1.0, 2, seed=5)
+        for a, b in zip(first, again):
+            assert a is not b
+            assert a.times is b.times
+            assert all(k is l for k, l in zip(a.knots, b.knots))
+
+    def test_affine_verdict_matches_make_potential(self):
+        g = Grid(32)
+        rng = np.random.default_rng(5)
+        u_a, u_b = random_potential(g, rng, 0.02), random_potential(g, rng, 0.02)
+        verdicts = []
+        for _ in range(400):
+            s = rng.uniform()
+            draw = random_band_limited(g, rng, 10.0 ** rng.uniform(-3.0, -1.0))
+            density = (1.0 - s) * u_a.density + s * u_b.density
+            try:
+                make_potential((1.0 - s) * u_a.field + s * u_b.field + draw, g)
+                built = True
+            except NotKahler:
+                built = False
+            assert _admissible(density, draw, g) == built
+            verdicts.append(built)
+        assert 50 < sum(verdicts) < 350
+
+    def test_knots_match_draw_then_build_loop(self):
+        g = Grid(32)
+        rng = np.random.default_rng(11)
+        u_a, u_b = random_potential(g, rng, 0.02), random_potential(g, rng, 0.02)
+        count, budget, amplitude, duration = 8, 4, 0.05, 1.0
+        # the loop the affine test replaced: build a Potential for every draw
+        rng = np.random.default_rng(21)
+        expected = []
+        for _ in range(count):
+            times = np.linspace(0.0, duration, budget + 2)
+            times[1:-1] += 0.3 * duration / (budget + 1) * rng.uniform(-1.0, 1.0, size=budget)
+            knots = []
+            for t in times[1:-1]:
+                s = t / duration
+                base = (1.0 - s) * u_a.field + s * u_b.field
+                amp = amplitude
+                for _ in range(51):
+                    try:
+                        knots.append(make_potential(base + random_band_limited(g, rng, amp), g))
+                        break
+                    except NotKahler:
+                        amp *= 0.5
+                else:
+                    pytest.fail("the reference loop found no admissible knot")
+            expected.append((times, knots))
+        paths = competitor_paths(u_a, u_b, duration, count, 21, budget, amplitude)
+        for (times, knots), path in zip(expected, paths, strict=True):
+            assert np.array_equal(path.times, times)
+            for want, got in zip(knots, path.knots[1:-1], strict=True):
+                assert np.array_equal(got.field, want.field)
+                assert np.array_equal(got.density, want.density)
+
+    def test_forms_of_one_check_share_one_draw(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return random_band_limited(*args, **kwargs)
+
+        monkeypatch.setattr(action, "random_band_limited", counting)
+        g = Grid(16)
+        rng = np.random.default_rng(8)
+        u_a, u_b = random_potential(g, rng, 0.02), random_potential(g, rng, 0.02)
+        geod = weak_geodesic(u_a, u_b, (0.0, 1.0), tol=1e-4, time_steps=8)
+        draws = []
+        for spec in (Power(1.0), Power(2.0), LorentzWeak(0.5)):
+            q = LeastActionQuery(u_a, u_b, 1.0, spec, tol=1e-4, time_steps=8)
+            verify_least_action(q, count=5, seed=3, geodesic=geod)
+            draws.append(len(calls))
+        assert draws[0] >= 5 * 4 and draws == [draws[0]] * 3
 
     @pytest.mark.parametrize("count", [0, -2])
     def test_count_validation(self, count):
@@ -274,8 +359,11 @@ class TestCompetitorPaths:
     def test_generation_failure_on_hopeless_amplitude(self):
         g = Grid(8)
         u = constant_potential(g, 0.0)
+        competitor_paths(u, u, 1.0, 1, seed=0, knot_budget=1)
+        assert len(action._COMPETITORS) == 1
         with pytest.raises(GenerationFailed):
             competitor_paths(u, u, 1.0, 1, seed=0, knot_budget=1, amplitude=1e18)
+        assert not action._COMPETITORS
 
 
 class TestVerifyLeastAction:

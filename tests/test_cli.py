@@ -103,7 +103,8 @@ class TestParseLagrangian:
             parse_lagrangian("lorentz:a1.5", tmp_path)
         with pytest.raises(ConfigError):
             parse_lagrangian("supfam:missing.json", tmp_path)
-        for text in ("power:pnan", "power:pinf", "lorentz:anan"):
+        for text in ("power:pnan", "power:pinf", "lorentz:anan",
+                     "power:ppp2", "power:2", "orlicz:2", "lorentz:aaa0.5"):
             with pytest.raises(ConfigError):
                 parse_lagrangian(text, tmp_path)
         member = {"offset": 0.0, "bounds": [0.0, 1.0], "levels": [1.0]}

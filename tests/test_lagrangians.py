@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import dyadic_weighted
+from helpers import dyadic_weighted, sorted_merge_oracle
 
 from mal.errors import NotEquidistributed
 from mal.fixtures import random_potential
@@ -17,7 +19,12 @@ from mal.lagrangians import (
     estimate_lipschitz,
     evaluate,
 )
-from mal.rearrangement import StepFunction, decreasing_rearrangement, theta_map
+from mal.rearrangement import (
+    StepFunction,
+    decreasing_rearrangement,
+    rearrange_values,
+    theta_map,
+)
 
 CHI_SQUARE = Orlicz(lambda t: t**2)
 
@@ -147,6 +154,95 @@ class TestEvaluate:
             base = evaluate(spec, u, xi)
             for c in (2.0, 0.5, 8.0):
                 assert evaluate(spec, u, c * xi) == pytest.approx(c * base, rel=2e-14)
+
+
+def lorentz_per_level(alpha, wv):
+    """Weak-Lorentz value with the critical-point probe looped level by level.
+
+    Returns the value and how many segments held their critical point inside.
+    """
+    step = rearrange_values(np.abs(wv.values), wv.weights)
+    prefix = step.prefix_integrals()
+    s = step.bounds
+    best = float(np.max(prefix[1:] / s[1:] ** alpha))
+    inside = 0
+    for j in range(step.levels.size):
+        v = float(step.levels[j])
+        if v <= 0.0:
+            continue
+        a = float(prefix[j]) - v * float(s[j])
+        if a <= 0.0:
+            continue
+        s_crit = alpha * a / ((1.0 - alpha) * v)
+        if s[j] < s_crit < s[j + 1]:
+            inside += 1
+            best = max(best, (a + v * s_crit) / s_crit**alpha)
+    return best, inside
+
+
+class TestLorentzSegmentEnds:
+    def test_matches_per_level_probe_bitwise(self):
+        """The interior critical points the old probe visited never raise the value."""
+        rng = np.random.default_rng(12)
+        probed = 0
+        for i in range(400):
+            k = int(rng.integers(1, 3)) if i % 4 == 0 else int(rng.integers(3, 40))
+            values = 2.0 * rng.standard_normal(k)
+            if i % 5 == 1:
+                values = np.round(values)  # ties and zeros
+            elif i % 5 == 2:
+                values = -np.abs(values)
+            elif i % 5 == 3:
+                values[rng.uniform(size=k) < 0.5] = 0.0
+            weights = dyadic_weighted(rng, k)[1] if i % 2 else rng.dirichlet(np.ones(k))
+            wv = WeightedValues.from_arrays(values, weights)
+            alpha = float(rng.uniform(0.0, 1.0))
+            want, inside = lorentz_per_level(alpha, wv)
+            assert LorentzWeak(alpha).of_weighted(wv) == want
+            probed += inside > 0
+        assert probed >= 80
+
+
+# every form, the sup family with the members of acceptance check 04
+FORMS = (
+    Power(1.0),
+    Power(2.0),
+    CHI_SQUARE,
+    LorentzWeak(0.5),
+    SupFamily((
+        (0.0, rearrange_values([2.0, 1.0], [0.5, 0.5])),
+        (0.1, rearrange_values([1.5, 0.5], [0.25, 0.75])),
+    )),
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    cuts=st.sets(st.integers(1, 63), max_size=7),
+    values=st.lists(st.integers(-16, 16).map(float), min_size=8, max_size=8),
+    splits=st.lists(st.booleans(), min_size=8, max_size=8),
+    data=st.data(),
+)
+def test_forms_invariant_under_permutation_and_tie_splitting(cuts, values, splits, data):
+    """Dyadic weights keep every sum exact, so the values agree bit for bit.
+
+    A split cell becomes two cells of its value with half its weight each.
+    Both sets must evaluate as the sort-and-merge oracle's rearrangement does.
+    """
+    weights = np.diff([0, *sorted(cuts), 64]) / 64.0
+    values = np.array(values[: weights.size])
+    halves = np.array(splits[: weights.size])
+    split_values = np.concatenate([values, values[halves]])
+    split_weights = np.concatenate([np.where(halves, 0.5, 1.0) * weights, 0.5 * weights[halves]])
+    order = np.array(data.draw(st.permutations(range(split_values.size))), dtype=int)
+    bounds, levels = sorted_merge_oracle(values, weights)
+    oracle = WeightedValues.from_arrays(levels, np.diff(bounds))
+    plain = WeightedValues.from_arrays(values, weights)
+    moved = WeightedValues.from_arrays(split_values[order], split_weights[order])
+    for form in FORMS:
+        want = form.of_weighted(oracle)
+        assert form.of_weighted(plain) == want
+        assert form.of_weighted(moved) == want
 
 
 class TestInvariance:
