@@ -44,6 +44,7 @@ from .transport import PotentialPath, centered_differences, covariant_derivative
 
 _LINE_SEARCH_HALVINGS = 30
 _MAX_LEVELS = 60
+_MAX_NEWTON_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,6 @@ class EpsGeodesicProblem:
     epsilon: float
     time_steps: int = 32
     solver_tol: float = 1e-8
-    max_iter: int = 60
 
     def __post_init__(self):
         if self.endpoint_a.grid != self.endpoint_b.grid:
@@ -71,8 +71,6 @@ class EpsGeodesicProblem:
             raise ValueError("need at least two time steps")
         if not 0 < self.solver_tol < np.inf:
             raise ValueError("solver_tol must be finite and positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
 
     @property
     def grid(self) -> Grid:
@@ -163,7 +161,7 @@ def solve_epsilon_geodesic(
     (endpoints are overwritten with the problem data).
 
     Raises:
-        NonConvergence: if max_iter Newton steps leave the residual above
+        NonConvergence: if 60 Newton steps leave the residual above
             tol, or a line search finds no admissible decrease.
         PositivityLoss: if damping cannot keep an iterate admissible.
     """
@@ -183,7 +181,7 @@ def solve_epsilon_geodesic(
     res_norm = float(np.abs(res).max())
     iterations = 0  # lgmres calls, one per Newton step
     while res_norm > p.solver_tol:
-        if iterations == p.max_iter:
+        if iterations == _MAX_NEWTON_STEPS:
             raise NonConvergence(iterations, res_norm)
         iterations += 1
         op = _jacobian_operator(fields, dt, grid, rho, gx, gy, forcing)

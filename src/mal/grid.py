@@ -64,13 +64,12 @@ class Grid:
 class FourierSymbols(NamedTuple):
     """Fourier multipliers of a grid on the rfft2 half spectrum.
 
-    k: integer wavenumbers of a full axis in FFT order.  ddx, ddy: first
-    derivatives 2 pi i k, with the unpaired Nyquist mode zeroed since its odd
-    derivative has no real value.  lap: the Laplacian symbol of the grid's
-    scheme; the central one is -4 n^2 (sin^2(pi k/n) + sin^2(pi l/n)).
+    ddx, ddy: first derivatives 2 pi i k over integer wavenumbers k, with the
+    unpaired Nyquist mode zeroed since its odd derivative has no real value.
+    lap: the Laplacian symbol of the grid's scheme; the central one is
+    -4 n^2 (sin^2(pi k/n) + sin^2(pi l/n)).
     """
 
-    k: NDArray[np.float64]
     ddx: NDArray[np.complex128]
     ddy: NDArray[np.complex128]
     lap: NDArray[np.float64]
@@ -87,7 +86,7 @@ def fourier_symbols(grid: Grid) -> FourierSymbols:
         lap = -4.0 * n**2 * (np.sin(np.pi * k / n)[:, None] ** 2 + np.sin(np.pi * l / n) ** 2)
     odd = (2j * np.pi) * np.where(np.abs(k) == n // 2, 0.0, k)
     # rfft2 keeps l = 0 .. n/2, so ddy is odd's first n/2 + 1 entries (Nyquist last, zeroed)
-    table = FourierSymbols(k, odd[:, None], odd[None, : n // 2 + 1], lap)
+    table = FourierSymbols(odd[:, None], odd[None, : n // 2 + 1], lap)
     for a in table:
         a.setflags(write=False)
     return table

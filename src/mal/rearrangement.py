@@ -181,21 +181,15 @@ def theta_map(wv: WeightedValues, tie_break=None) -> ThetaMap:
     return ThetaMap(order, _frozen(bounds))
 
 
-def _as_values(x) -> NDArray[np.float64]:
-    if isinstance(x, WeightedValues):
-        return x.values
-    return np.ravel(np.asarray(x, dtype=float))
-
-
 def similarly_ordered(g, h) -> bool:
     """Whether (g(x) - g(y)) (h(x) - h(y)) >= 0 for all cell pairs x, y.
 
-    Accepts WeightedValues or plain fields on the same cell set.  Sort-based,
-    O(k log k): after sorting by g, every h-value in a lower g-group must not
-    exceed any h-value in a higher g-group.
+    g and h are array-likes of values on the same cell set, flattened.
+    Sort-based, O(k log k): after sorting by g, every h-value in a lower
+    g-group must not exceed any h-value in a higher g-group.
     """
-    g = _as_values(g)
-    h = _as_values(h)
+    g = np.ravel(np.asarray(g, dtype=float))
+    h = np.ravel(np.asarray(h, dtype=float))
     if g.shape != h.shape:
         raise ValueError("fields must have equal size")
     order = np.argsort(g, kind="stable")

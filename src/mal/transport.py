@@ -7,6 +7,8 @@ pullback-density identity rho_{u(t)}(phi(x)) J(x) = rho_{u(0)}(x) quantifies.
 Hamiltonian flows integrate sgrad zeta = (-zeta_y, zeta_x)/rho_u for the
 symplectic form of a fixed potential.
 
+Every vector field here (displacements, particle positions, velocities) is
+one array whose first axis of length 2 holds the x and y components.
 Trajectories are integrated with the classical 4-stage explicit scheme from
 all cell centers at once, velocity fields sampled bilinearly in space and
 linearly in time; positions use exact mod-1 torus arithmetic.  Displacement
@@ -23,104 +25,89 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import NonConvergence, StepUnstable
-from .grid import Grid, GridField, Potential, _frozen, fourier_symbols, gradient, make_potential
+from .grid import Grid, GridField, Potential, _frozen, gradient, make_potential
 
 INTERPOLATIONS = ("piecewise-linear", "solver-native")
 
 
-def bilinear_periodic(field: GridField, px: GridField, py: GridField, n: int) -> GridField:
-    """Sample a grid field at arbitrary torus points by periodic bilinear interpolation."""
-    gx = px * n
-    gy = py * n
-    i0 = np.floor(gx).astype(int)
-    j0 = np.floor(gy).astype(int)
-    fx = gx - i0
-    fy = gy - j0
+def bilinear_periodic(field: NDArray, p: NDArray, n: int) -> NDArray:
+    """Sample fields (..., n, n) at torus points p (2, ...) by periodic bilinear interpolation."""
+    q = p * n
+    i0 = np.floor(q).astype(int)
+    fx, fy = q - i0
     i0 %= n
-    j0 %= n
-    i1 = (i0 + 1) % n
-    j1 = (j0 + 1) % n
+    (ia, ja), (ib, jb) = i0, (i0 + 1) % n
     return (
-        field[i0, j0] * (1.0 - fx) * (1.0 - fy)
-        + field[i1, j0] * fx * (1.0 - fy)
-        + field[i0, j1] * (1.0 - fx) * fy
-        + field[i1, j1] * fx * fy
+        field[..., ia, ja] * (1.0 - fx) * (1.0 - fy)
+        + field[..., ib, ja] * fx * (1.0 - fy)
+        + field[..., ia, jb] * (1.0 - fx) * fy
+        + field[..., ib, jb] * fx * fy
     )
 
 
-def spectral_interp(field: GridField, px: GridField, py: GridField) -> GridField:
-    """Evaluate the trigonometric interpolant of a grid field at arbitrary points."""
+def spectral_interp(field: NDArray, p: NDArray) -> NDArray:
+    """Evaluate the trigonometric interpolant of fields (..., n, n) at points p (2, ...)."""
     n = field.shape[-1]
     coef = np.fft.fft2(field) / n**2
-    k = fourier_symbols(Grid(n)).k
-    shape = px.shape
-    ex = np.exp(2j * np.pi * np.outer(px.ravel(), k))
-    ey = np.exp(2j * np.pi * np.outer(py.ravel(), k))
-    vals = np.einsum("pk,kl,pl->p", ex, coef, ey, optimize=True)
-    return vals.real.reshape(shape)
+    ex, ey = np.exp(2j * np.pi * (p.reshape(2, -1, 1) * np.fft.fftfreq(n, d=1.0 / n)))
+    vals = np.einsum("pk,...kl,pl->...p", ex, coef, ey, optimize=True)
+    return vals.real.reshape(field.shape[:-2] + p.shape[1:])
 
 
-def interp_at(field: GridField, px: GridField, py: GridField, grid: Grid) -> GridField:
+def interp_at(field: NDArray, p: NDArray, grid: Grid) -> NDArray:
     if grid.scheme == "spectral":
-        return spectral_interp(field, px, py)
-    return bilinear_periodic(field, px, py, grid.n)
+        return spectral_interp(field, p)
+    return bilinear_periodic(field, p, grid.n)
 
 
 @dataclass(frozen=True, eq=False)
 class TransportMap:
-    """Discrete map of the torus: per-cell displacement plus its Jacobian.
+    """Discrete map of the torus: per-cell displacement (2, n, n) plus its Jacobian.
 
     forward() gives target coordinates mod 1; the displacement itself is kept
     unwrapped so it stays a smooth periodic function of the seed cell.
     """
 
     grid: Grid
-    disp_x: GridField
-    disp_y: GridField
+    disp: NDArray[np.float64]
     jacobian: GridField
 
     def __post_init__(self):
         if float(self.jacobian.min()) <= 0.0:
             raise ValueError("transport map must preserve orientation: jacobian > 0")
 
-    def forward(self) -> tuple[GridField, GridField]:
-        x, y = self.grid.coords()
-        return np.mod(x + self.disp_x, 1.0), np.mod(y + self.disp_y, 1.0)
+    def forward(self) -> NDArray[np.float64]:
+        return np.mod(np.stack(self.grid.coords()) + self.disp, 1.0)
 
     @property
     def is_identity(self) -> bool:
-        return not (self.disp_x.any() or self.disp_y.any())
+        return not self.disp.any()
 
     @classmethod
     def identity(cls, grid: Grid) -> "TransportMap":
-        zero = np.zeros((grid.n, grid.n))
-        return cls(grid, _frozen(zero), _frozen(zero), _frozen(np.ones_like(zero)))
+        n = grid.n
+        return cls(grid, _frozen(np.zeros((2, n, n))), _frozen(np.ones((n, n))))
 
     @classmethod
-    def from_displacement(cls, grid: Grid, disp_x: GridField, disp_y: GridField) -> "TransportMap":
-        (ax, ay), (bx, by) = gradient(disp_x, grid), gradient(disp_y, grid)
+    def from_displacement(cls, grid: Grid, disp: NDArray[np.float64]) -> "TransportMap":
+        (ax, bx), (ay, by) = gradient(disp, grid)
         jac = (1.0 + ax) * (1.0 + by) - ay * bx
-        return cls(grid, _frozen(disp_x), _frozen(disp_y), _frozen(jac))
+        return cls(grid, _frozen(disp), _frozen(jac))
 
 
 def compose(after: TransportMap, before: TransportMap) -> TransportMap:
     """Map doing `before` first, then `after` (displacements interpolated)."""
     if before.is_identity:
         return after
-    if after.is_identity:
-        return before
-    px, py = before.forward()
     g = before.grid
-    disp_x = before.disp_x + interp_at(after.disp_x, px, py, g)
-    disp_y = before.disp_y + interp_at(after.disp_y, px, py, g)
-    return TransportMap.from_displacement(g, disp_x, disp_y)
+    disp = before.disp + interp_at(after.disp, before.forward(), g)
+    return TransportMap.from_displacement(g, disp)
 
 
 def map_distance(a: TransportMap, b: TransportMap) -> float:
     """Sup over cells of the torus distance between the two images."""
-    ddx = np.mod(a.disp_x - b.disp_x + 0.5, 1.0) - 0.5
-    ddy = np.mod(a.disp_y - b.disp_y + 0.5, 1.0) - 0.5
-    return float(np.hypot(ddx, ddy).max())
+    d = np.mod(a.disp - b.disp + 0.5, 1.0) - 0.5
+    return float(np.hypot(*d).max())
 
 
 def inverse(phi: TransportMap) -> TransportMap:
@@ -136,21 +123,17 @@ def inverse(phi: TransportMap) -> TransportMap:
     if phi.is_identity:
         return phi
     g = phi.grid
-    x0, y0 = g.coords()
-    qx = -phi.disp_x
-    qy = -phi.disp_y
+    x0 = np.stack(g.coords())
+    q = -phi.disp
     for _ in range(iterations):
-        px = np.mod(x0 + qx, 1.0)
-        py = np.mod(y0 + qy, 1.0)
-        nx = -interp_at(phi.disp_x, px, py, g)
-        ny = -interp_at(phi.disp_y, px, py, g)
-        change = max(float(np.abs(nx - qx).max()), float(np.abs(ny - qy).max()))
-        qx, qy = nx, ny
+        new = -interp_at(phi.disp, np.mod(x0 + q, 1.0), g)
+        change = float(np.abs(new - q).max())
+        q = new
         if change < tol:
             break
     else:
         raise NonConvergence(iterations, change)
-    return TransportMap.from_displacement(g, qx, qy)
+    return TransportMap.from_displacement(g, q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,59 +232,52 @@ def linear_path(
     return PotentialPath(_frozen(times), tuple(knots), "piecewise-linear")
 
 
-def _interval_velocity_fields(path: PotentialPath):
-    """Transported vector field -(1/2) grad udot at both ends of each interval."""
+def _interval_velocity_fields(path: PotentialPath) -> tuple[NDArray, NDArray]:
+    """Transported vector field -(1/2) grad udot at the left and right ends of each interval."""
     dens = path.densities
     if path.interpolation == "piecewise-linear":
-        fx, fy = gradient(path.interval_velocity, path.grid)
-        left, right = dens[:-1], dens[1:]
-        return -0.5 * fx / left, -0.5 * fy / left, -0.5 * fx / right, -0.5 * fy / right
-    fx, fy = gradient(path.knot_velocity, path.grid)
-    wx, wy = -0.5 * fx / dens, -0.5 * fy / dens
-    return wx[:-1], wy[:-1], wx[1:], wy[1:]
+        f = -0.5 * np.stack(gradient(path.interval_velocity, path.grid))
+        return f / dens[:-1], f / dens[1:]
+    w = -0.5 * np.stack(gradient(path.knot_velocity, path.grid)) / dens
+    return w[:, :-1], w[:, 1:]
 
 
-def _advance_rk4(px, py, sample, t0, dt):
-    """One 4-stage step of dX/dt = v(t, X) with sample(theta, px, py) -> (vx, vy)."""
-    k1x, k1y = sample(t0, px, py)
-    k2x, k2y = sample(t0 + 0.5 * dt, px + 0.5 * dt * k1x, py + 0.5 * dt * k1y)
-    k3x, k3y = sample(t0 + 0.5 * dt, px + 0.5 * dt * k2x, py + 0.5 * dt * k2y)
-    k4x, k4y = sample(t0 + dt, px + dt * k3x, py + dt * k3y)
-    nx = px + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    ny = py + dt / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-    return nx, ny
+def _advance_rk4(p, sample, t0, dt):
+    """One 4-stage step of dX/dt = v(t, X) with sample(theta, p) -> v."""
+    k1 = sample(t0, p)
+    k2 = sample(t0 + 0.5 * dt, p + 0.5 * dt * k1)
+    k3 = sample(t0 + 0.5 * dt, p + 0.5 * dt * k2)
+    k4 = sample(t0 + dt, p + dt * k3)
+    return p + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _flow_positions(grid, wxl, wyl, wxr, wyr, t_knots, substeps):
+def _flow_positions(grid, left, right, t_knots, substeps):
     """Integrate all cell centers through the per-interval velocity fields.
 
-    Yields unwrapped positions after each knot interval.
+    left and right are (2, k, n, n) stacks of the field at both ends of each
+    of the k knot intervals.  Yields the unwrapped displacement after each
+    interval.
     """
     h = grid.cell_width
-    px, py = grid.coords()
-    px = px.copy()
-    py = py.copy()
+    x0 = np.stack(grid.coords())
+    p = x0
     for i in range(len(t_knots) - 1):
         span = t_knots[i + 1] - t_knots[i]
         dt = span / substeps
 
-        def sample(theta, qx, qy, i=i, span=span):
+        def sample(theta, q, i=i, span=span):
             lam = theta / span
-            vx = (1.0 - lam) * wxl[i] + lam * wxr[i]
-            vy = (1.0 - lam) * wyl[i] + lam * wyr[i]
-            qxm = np.mod(qx, 1.0)
-            qym = np.mod(qy, 1.0)
-            sx = bilinear_periodic(vx, qxm, qym, grid.n)
-            sy = bilinear_periodic(vy, qxm, qym, grid.n)
-            if dt * float(np.hypot(sx, sy).max()) > h:
+            v = (1.0 - lam) * left[:, i] + lam * right[:, i]
+            s = bilinear_periodic(v, np.mod(q, 1.0), grid.n)
+            if dt * float(np.hypot(*s).max()) > h:
                 raise StepUnstable(
                     f"substep displacement exceeds one cell width (dt={dt:g}); increase substeps"
                 )
-            return sx, sy
+            return s
 
         for s in range(substeps):
-            px, py = _advance_rk4(px, py, sample, s * dt, dt)
-        yield px.copy(), py.copy()
+            p = _advance_rk4(p, sample, s * dt, dt)
+        yield p - x0
 
 
 def transport_flow(path: PotentialPath, substeps: int = 4) -> list[TransportMap]:
@@ -313,20 +289,16 @@ def transport_flow(path: PotentialPath, substeps: int = 4) -> list[TransportMap]
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
     g = path.grid
-    wxl, wyl, wxr, wyr = _interval_velocity_fields(path)
-    x0, y0 = g.coords()
-    maps = [TransportMap.identity(g)]
-    for px, py in _flow_positions(g, wxl, wyl, wxr, wyr, path.times, substeps):
-        maps.append(TransportMap.from_displacement(g, px - x0, py - y0))
-    return maps
+    left, right = _interval_velocity_fields(path)
+    flow = _flow_positions(g, left, right, path.times, substeps)
+    return [TransportMap.identity(g)] + [TransportMap.from_displacement(g, d) for d in flow]
 
 
 def pullback(xi: GridField, phi: TransportMap) -> GridField:
     """Composition xi o phi by interpolation; bit-exact for the identity map."""
     if phi.is_identity:
         return np.array(xi, dtype=float)
-    px, py = phi.forward()
-    return interp_at(np.asarray(xi, dtype=float), px, py, phi.grid)
+    return interp_at(np.asarray(xi, dtype=float), phi.forward(), phi.grid)
 
 
 def covariant_derivative(path: PotentialPath, fields: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -344,15 +316,6 @@ def covariant_derivative(path: PotentialPath, fields: NDArray[np.float64]) -> ND
     return path.time_derivative(fields) - 0.5 * pairing
 
 
-def _hamiltonian_fields(zeta_frames: NDArray[np.float64], u: Potential):
-    """sgrad zeta = (-zeta_y, zeta_x)/rho_u for each time frame."""
-    z = np.asarray(zeta_frames, dtype=float)
-    if z.ndim == 2:
-        z = z[None]
-    zx, zy = gradient(z, u.grid)
-    return -zy / u.density, zx / u.density
-
-
 def symplectic_flow(zeta_frames: NDArray[np.float64], u: Potential, substeps: int = 16) -> TransportMap:
     """Time-1 map of the Hamiltonian flow of a time family zeta on (X, omega_u).
 
@@ -366,19 +329,13 @@ def symplectic_flow(zeta_frames: NDArray[np.float64], u: Potential, substeps: in
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
     g = u.grid
-    vx, vy = _hamiltonian_fields(zeta_frames, u)
-    k = vx.shape[0]
-    if k == 1:
-        t_knots = np.array([0.0, 1.0])
-        wxl, wyl, wxr, wyr = vx, vy, vx, vy
-    else:
-        t_knots = np.linspace(0.0, 1.0, k)
-        wxl, wyl, wxr, wyr = vx[:-1], vy[:-1], vx[1:], vy[1:]
-    x0, y0 = g.coords()
-    last = None
-    for px, py in _flow_positions(g, wxl, wyl, wxr, wyr, t_knots, substeps):
-        last = (px, py)
-    return TransportMap.from_displacement(g, last[0] - x0, last[1] - y0)
+    z = np.asarray(zeta_frames, dtype=float)
+    if len(z) == 1:  # autonomous: the frame holds at both ends of [0, 1]
+        z = np.concatenate([z, z])
+    zx, zy = gradient(z, g)
+    v = np.stack([-zy / u.density, zx / u.density])
+    *_, disp = _flow_positions(g, v[:, :-1], v[:, 1:], np.linspace(0.0, 1.0, len(z)), substeps)
+    return TransportMap.from_displacement(g, disp)
 
 
 def composition_scheme(
@@ -393,8 +350,6 @@ def composition_scheme(
     if k < 1:
         raise ValueError("k must be >= 1")
     z = np.asarray(zeta_frames, dtype=float)
-    if z.ndim == 2:
-        z = z[None]
     frame_times = np.linspace(0.0, 1.0, z.shape[0]) if z.shape[0] > 1 else np.array([0.0])
 
     def frame_at(s: float) -> GridField:

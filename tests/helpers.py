@@ -39,3 +39,18 @@ def sorted_merge_oracle(values, weights):
             levels.append(v)
             widths.append(w)
     return np.concatenate([[0.0], np.cumsum(widths)]), np.asarray(levels)
+
+
+def inadmissible_lgmres(n):
+    """Stand-in for scipy's lgmres whose Newton step no line-search halving makes admissible.
+
+    It returns 1e12 cos(2 pi x) on every interior knot of an n x n grid; even
+    at the smallest step length tried, 2**-30, the trial density goes
+    negative where cos(2 pi x) > 0.
+    """
+    row = 1e12 * np.cos(2.0 * np.pi * np.arange(n) / n)
+
+    def solve(op, rhs, **kwargs):
+        return np.resize(np.repeat(row, n), rhs.size), 0
+
+    return solve

@@ -355,6 +355,9 @@ class TestCompetitorPaths:
         u = constant_potential(g, 0.0)
         with pytest.raises(ValueError):
             competitor_paths(u, u, 1.0, 1, seed=0, knot_budget=-1)
+        for duration in (0.0, -1.0):
+            with pytest.raises(ValueError, match="duration"):
+                competitor_paths(u, u, duration, 1, seed=0)
 
     def test_generation_failure_on_hopeless_amplitude(self):
         g = Grid(8)
@@ -630,6 +633,10 @@ class TestActionConvexity:
             verify_action_convexity(Power(1.0), path, path, 1.0, 3)
         with pytest.raises(ValueError):
             verify_action_convexity(Power(1.0), uneven, uneven, 1.0, 1)
+        gc = Grid(8, "central")
+        central = linear_path(constant_potential(gc, 0.0), constant_potential(gc, 1.0), 0.0, 1.0, 4)
+        with pytest.raises(ValueError, match="one grid"):
+            verify_action_convexity(Power(1.0), path, central, 1.0, 1)
 
 
 class TestLeastActionContinuity:

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import inadmissible_lgmres
+
 import mal.geodesics
 from mal.cli import (
     CONFIG_SCHEMA,
@@ -343,10 +345,18 @@ class TestSolve:
         assert main(["solve", "--config", str(path)]) == 0
         assert (tmp_path / "o%ut" / "path.csv").exists()
 
-    def test_solver_failure_exits_two(self, tmp_path, capsys):
+    def test_solver_failure_exits_two(self, tmp_path, capsys, monkeypatch):
         path = write_config(tmp_path, **{"solver_tol = 1e-8": "solver_tol = 1e-30"})
         assert main(["solve", "--config", str(path)]) == 2
         assert "solver failure" in capsys.readouterr().err
+        monkeypatch.setattr(mal.geodesics, "lgmres", inadmissible_lgmres(8))
+        assert main(["solve", "--config", str(band_limited_config(tmp_path))]) == 2
+        err = capsys.readouterr().err
+        assert "solver failure" in err and "density became non-positive" in err
+
+    def test_missing_config_exits_three(self, tmp_path, capsys):
+        assert main(["solve", "--config", str(tmp_path / "absent.ini")]) == 3
+        assert "config file" in capsys.readouterr().err
 
     def test_byte_determinism(self, tmp_path):
         p1 = write_config(tmp_path, "one.ini")
@@ -485,6 +495,8 @@ class TestVerify:
         path = band_limited_config(tmp_path)
         assert main(["verify", "--config", str(path), "--suite", "bogus"]) == 3
         assert "suite" in capsys.readouterr().err
+        assert main(["verify", "--config", str(path), "--suite", ","]) == 3
+        assert "at least one suite" in capsys.readouterr().err
 
     def test_comparison_needs_homogeneous_spec(self, tmp_path, capsys):
         path = band_limited_config(tmp_path, **{"spec = power:p1": "spec = orlicz:p2"})
@@ -534,7 +546,10 @@ class TestRearrange:
         assert code == 3
 
     def test_malformed_row_exits_three(self, tmp_path):
-        for rows in ([(1,)], [("nan", 0.5), (2, 0.5)], [(1, "inf"), (2, 0.5)], [(1, "nan"), (2, 0.5)]):
+        for rows in (
+            [(1,)], [("nan", 0.5), (2, 0.5)], [(1, "inf"), (2, 0.5)], [(1, "nan"), (2, 0.5)],
+            [("value", "weight")],
+        ):
             code, _ = self.run(tmp_path, rows)
             assert code == 3
 

@@ -5,8 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from helpers import inadmissible_lgmres
+
 from mal import geodesics
-from mal.errors import NonConvergence, PerturbationTooLarge
+from mal.errors import NonConvergence, PerturbationTooLarge, PositivityLoss
 from mal.fixtures import random_potential
 from mal.geodesics import (
     EpsGeodesicProblem,
@@ -71,6 +73,12 @@ class TestProblemValidation:
         p = EpsGeodesicProblem(u, u, (0.0, 1.0), 0.0)
         with pytest.raises(ValueError, match="epsilon > 0"):
             solve_epsilon_geodesic(p)
+
+    def test_initial_guess_shape_validated(self):
+        u = constant_potential(Grid(8), 0.0)
+        p = EpsGeodesicProblem(u, u, (0.0, 1.0), 1.0, time_steps=4)
+        with pytest.raises(ValueError, match="one field per knot"):
+            solve_epsilon_geodesic(p, initial=np.zeros((4, 8, 8)))
 
 
 class TestConstantEndpoints:
@@ -161,7 +169,8 @@ class TestGenericSolves:
         second = solve_epsilon_geodesic(p).path.fields
         assert np.array_equal(first, second)
 
-    def test_nonconvergence_reported(self):
+    def test_nonconvergence_reported(self, monkeypatch):
+        monkeypatch.setattr(geodesics, "_MAX_NEWTON_STEPS", 2)
         g = Grid(16)
         rng = np.random.default_rng(15)
         p = EpsGeodesicProblem(
@@ -171,14 +180,13 @@ class TestGenericSolves:
             1.0,
             time_steps=16,
             solver_tol=1e-15,
-            max_iter=2,
         )
         with pytest.raises(NonConvergence) as err:
             solve_epsilon_geodesic(p)
         assert err.value.residual > 0.0
 
-    def test_converges_on_the_last_allowed_step(self):
-        """A solve needing k Newton steps succeeds at max_iter = k, not only at k + 1."""
+    def test_converges_on_the_last_allowed_step(self, monkeypatch):
+        """A solve needing k Newton steps succeeds with a budget of k, not only k + 1."""
         g = Grid(16)
         rng = np.random.default_rng(15)
         p = EpsGeodesicProblem(
@@ -186,10 +194,12 @@ class TestGenericSolves:
         )
         k = solve_epsilon_geodesic(p).iterations
         assert k >= 2
-        sol = solve_epsilon_geodesic(replace(p, max_iter=k))
+        monkeypatch.setattr(geodesics, "_MAX_NEWTON_STEPS", k)
+        sol = solve_epsilon_geodesic(p)
         assert sol.iterations == k and sol.residual_norm <= p.solver_tol
+        monkeypatch.setattr(geodesics, "_MAX_NEWTON_STEPS", k - 1)
         with pytest.raises(NonConvergence) as err:
-            solve_epsilon_geodesic(replace(p, max_iter=k - 1))
+            solve_epsilon_geodesic(p)
         assert err.value.iterations == k - 1
 
     def test_line_search_without_decrease_raises(self, monkeypatch):
@@ -205,6 +215,18 @@ class TestGenericSolves:
         with pytest.raises(NonConvergence) as err:
             solve_epsilon_geodesic(p)
         assert err.value.iterations == 1 and err.value.residual > p.solver_tol
+
+    def test_positivity_loss_when_no_halving_is_admissible(self, monkeypatch):
+        monkeypatch.setattr(geodesics, "lgmres", inadmissible_lgmres(16))
+        g = Grid(16)
+        rng = np.random.default_rng(15)
+        p = EpsGeodesicProblem(
+            random_potential(g, rng), random_potential(g, rng), (0.0, 1.0), 1.0, time_steps=8
+        )
+        with pytest.raises(PositivityLoss) as err:
+            solve_epsilon_geodesic(p)
+        assert 1 <= err.value.time_index <= 7
+        assert all(0 <= c < 16 for c in err.value.cell)
 
     def test_native_stencil_velocity_identity(self, scheme):
         """With the solver's own stencils, grad_t udot = eps F(u) to solver tol."""
@@ -329,6 +351,15 @@ class TestContinuation:
         assert time_convexity_margin(path) >= -1e-6
         assert np.max(np.abs(hcma_residual(path))) < 1e-3
 
+    def test_running_out_of_levels_reported(self, monkeypatch):
+        monkeypatch.setattr(geodesics, "_MAX_LEVELS", 1)
+        g = Grid(8)
+        with pytest.raises(NonConvergence) as err:
+            epsilon_continuation(
+                constant_potential(g, 0.0), constant_potential(g, 1.0), tol=1e-12, time_steps=4
+            )
+        assert err.value.iterations == 1 and err.value.residual >= 1e-12
+
 
 class TestJacobiFields:
     def test_constant_directions_give_constant_field(self):
@@ -388,6 +419,13 @@ class TestJacobiFields:
         with pytest.raises(PerturbationTooLarge):
             jacobi_field(p, rough, rough, delta=0.5)
 
+    @pytest.mark.parametrize("delta", [0.0, -1e-3])
+    def test_delta_validated(self, delta):
+        u = constant_potential(Grid(8), 0.0)
+        p = EpsGeodesicProblem(u, u, (0.0, 1.0), 1.0, time_steps=4)
+        with pytest.raises(ValueError, match="delta"):
+            jacobi_field(p, np.zeros((8, 8)), np.zeros((8, 8)), delta=delta)
+
 
 class TestJacobiResidual:
     def test_zero_field_zero_residual(self):
@@ -397,6 +435,16 @@ class TestJacobiResidual:
         )
         sol = solve_epsilon_geodesic(p)
         assert jacobi_residual(sol, np.zeros((9, 8, 8))) == 0.0
+        with pytest.raises(ValueError, match="one field per knot"):
+            jacobi_residual(sol, np.zeros((8, 8, 8)))
+
+    def test_needs_four_intervals(self):
+        g = Grid(8)
+        p = EpsGeodesicProblem(
+            constant_potential(g, 0.0), constant_potential(g, 1.0), (0.0, 1.0), 1.0, time_steps=3
+        )
+        with pytest.raises(ValueError, match="four time intervals"):
+            jacobi_residual(solve_epsilon_geodesic(p), np.zeros((4, 8, 8)))
 
     def test_constant_family_small_residual(self):
         g = Grid(8)

@@ -102,6 +102,8 @@ class TestPotential:
         for n in (16, 32, 64):
             u = random_potential(Grid(n, scheme), rng, 0.03)
             assert abs(u.density.mean() - 1.0) <= 10 * EPS
+        with pytest.raises(ValueError, match="density mean"):
+            Potential(Grid(16, scheme), np.zeros((16, 16)), np.full((16, 16), 2.0))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -119,6 +121,8 @@ class TestPotential:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             make_potential(np.zeros((8, 8)), Grid(16))
+        with pytest.raises(ValueError, match="shape"):
+            Potential(Grid(16), np.zeros((8, 8)), np.ones((8, 8)))
 
     def test_fields_read_only(self, flat32):
         with pytest.raises(ValueError):
@@ -313,3 +317,9 @@ class TestWeightedValues:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             WeightedValues.from_arrays([], [])
+
+    def test_rejects_shape_mismatch(self):
+        with pytest.raises(ValueError, match="equal length"):
+            WeightedValues.from_arrays([1.0, 2.0], [1.0])
+        with pytest.raises(ValueError, match="1-d"):
+            WeightedValues(np.ones((1, 1)), np.ones((1, 1)))

@@ -51,6 +51,10 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             Orlicz(lambda t: -(t**2))
 
+    def test_orlicz_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            Orlicz(lambda t: np.where(t > 0.0, np.inf, t**2))
+
     def test_orlicz_accepts_nonsmooth(self):
         Orlicz(np.abs)
 

@@ -36,6 +36,8 @@ class TestStepFunction:
             StepFunction(np.array([0.0, 0.5, 0.4]), np.array([2.0, 1.0]))
         with pytest.raises(ValueError):
             StepFunction(np.array([0.0, 0.5, 1.0]), np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="1-d"):
+            StepFunction(np.array([[0.0, 1.0]]), np.array([1.0]))
 
     def test_left_continuity_at_breakpoints(self):
         s = StepFunction(np.array([0.0, 0.3, 1.0]), np.array([5.0, 2.0]))
@@ -95,6 +97,13 @@ class TestDecreasingRearrangement:
                         assert r.value(tau) <= t
                     if mass >= tau and tau > 0:
                         assert r.value(tau) >= t
+
+    def test_rearrange_values_validation(self):
+        for values, weights in (([], []), ([1.0, 2.0], [1.0])):
+            with pytest.raises(ValueError, match="non-empty and of equal length"):
+                rearrange_values(values, weights)
+        with pytest.raises(ValueError, match="strictly positive"):
+            rearrange_values([1.0, 2.0], [1.0, 0.0])
 
     def test_merges_ties(self):
         r = rearrange_values([1.0, 2.0, 1.0, 2.0], [0.25, 0.25, 0.25, 0.25])
@@ -192,6 +201,16 @@ class TestThetaMap:
         a = wv([1.0, 1.0, 2.0], [0.25, 0.25, 0.5])
         t = theta_map(a, tie_break=[5, 1, 0])
         assert t.ordering.tolist() == [2, 1, 0]
+        with pytest.raises(ValueError, match="one key per cell"):
+            theta_map(a, tie_break=[5, 1])
+
+    def test_bounds_validated(self):
+        order = np.array([1, 0])
+        with pytest.raises(ValueError, match="one more interval bound"):
+            ThetaMap(order, np.array([0.0, 1.0]))
+        for bounds in ([0.1, 0.5, 1.0], [0.0, 0.5, 0.5]):
+            with pytest.raises(ValueError, match="increase strictly from 0"):
+                ThetaMap(order, np.array(bounds))
 
     def test_interval_lengths_are_weights(self):
         a = wv([4.0, 1.0, 2.0], [0.25, 0.5, 0.25])
@@ -209,6 +228,8 @@ class TestSimilarlyOrdered:
     def test_spec_examples(self):
         assert similarly_ordered([1.0, 2.0, 3.0], [5.0, 5.0, 7.0])
         assert not similarly_ordered([1.0, 2.0], [2.0, 1.0])
+        with pytest.raises(ValueError, match="equal size"):
+            similarly_ordered([1.0, 2.0], [1.0])
 
     def test_against_pairwise_oracle(self):
         rng = np.random.default_rng(6)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mal.errors import StepUnstable
+from mal.errors import NonConvergence, StepUnstable
 from mal.fixtures import random_band_limited, random_potential
 from mal.grid import Grid, make_potential
 from mal.transport import (
@@ -78,7 +78,7 @@ class TestPathValidation:
         x, _ = g.coords()
         disp = -1.2 * np.sin(2.0 * np.pi * x) / (2.0 * np.pi)
         with pytest.raises(ValueError, match="orientation"):
-            TransportMap.from_displacement(g, disp, np.zeros_like(disp))
+            TransportMap.from_displacement(g, np.stack([disp, np.zeros_like(disp)]))
 
 
 class TestVelocity:
@@ -113,15 +113,16 @@ class TestInterpolation:
     def test_bilinear_exact_at_grid_points(self):
         rng = np.random.default_rng(5)
         g = Grid(16)
-        field = rng.normal(size=(16, 16))
-        x, y = g.coords()
-        assert np.array_equal(bilinear_periodic(field, x, y, 16), field)
+        field = rng.normal(size=(2, 16, 16))
+        points = np.stack(g.coords())
+        assert np.array_equal(bilinear_periodic(field, points, 16), field)
+        assert np.array_equal(bilinear_periodic(field[1], points, 16), field[1])
 
     def test_bilinear_midpoint_average(self):
         field = np.zeros((8, 8))
         field[2, 3] = 1.0
         field[3, 3] = 3.0
-        val = bilinear_periodic(field, np.array([2.5 / 8.0]), np.array([3.0 / 8.0]), 8)
+        val = bilinear_periodic(field, np.array([[2.5 / 8.0], [3.0 / 8.0]]), 8)
         assert val[0] == pytest.approx(2.0)
 
     def test_spectral_interp_matches_band_limited_function(self):
@@ -129,11 +130,13 @@ class TestInterpolation:
         x, y = g.coords()
         field = np.cos(2.0 * np.pi * x) + 0.5 * np.sin(4.0 * np.pi * y)
         rng = np.random.default_rng(11)
-        px = rng.uniform(size=(40,))
-        py = rng.uniform(size=(40,))
-        vals = spectral_interp(field, px, py)
+        p = rng.uniform(size=(2, 5, 8))
+        px, py = p
+        vals = spectral_interp(np.stack([field, 2.0 * field]), p)
         exact = np.cos(2.0 * np.pi * px) + 0.5 * np.sin(4.0 * np.pi * py)
-        assert np.max(np.abs(vals - exact)) < 1e-12
+        assert vals.shape == (2, 5, 8)
+        assert np.max(np.abs(vals[0] - exact)) < 1e-12
+        assert np.max(np.abs(vals[1] - 2.0 * exact)) < 1e-12
 
 
 class TestTransportFlow:
@@ -159,6 +162,8 @@ class TestTransportFlow:
         path = constant_path(Grid(8), 0.0, [0.0, 1.0])
         with pytest.raises(ValueError, match="substeps"):
             transport_flow(path, substeps=0)
+        with pytest.raises(ValueError, match="substeps"):
+            symplectic_flow(np.zeros((1, 8, 8)), path.knots[0], substeps=0)
 
     def test_displacement_converges_to_reference(self):
         """Flow along u(t) = t a cos(2 pi x) against a finer discretization."""
@@ -212,7 +217,8 @@ class TestPullback:
     def test_constant_field(self):
         g = Grid(16)
         x, _ = g.coords()
-        phi = TransportMap.from_displacement(g, 0.1 * np.sin(2.0 * np.pi * x), np.zeros((16, 16)))
+        disp = np.stack([0.1 * np.sin(2.0 * np.pi * x), np.zeros((16, 16))])
+        phi = TransportMap.from_displacement(g, disp)
         out = pullback(np.full((16, 16), 4.5), phi)
         assert np.max(np.abs(out - 4.5)) < 1e-12
 
@@ -227,7 +233,8 @@ class TestPullback:
     def test_quarter_translation(self, scheme):
         g = Grid(32, scheme)
         x, _ = g.coords()
-        shift = TransportMap.from_displacement(g, np.full((32, 32), 0.25), np.zeros((32, 32)))
+        disp = np.stack([np.full((32, 32), 0.25), np.zeros((32, 32))])
+        shift = TransportMap.from_displacement(g, disp)
         out = pullback(np.cos(2.0 * np.pi * x), shift)
         assert np.max(np.abs(out + np.sin(2.0 * np.pi * x))) < 1e-12
 
@@ -244,6 +251,15 @@ class TestInverse:
         phi = transport_flow(path, substeps=8)[-1]
         round_trip = compose(phi, inverse(phi))
         assert map_distance(round_trip, TransportMap.identity(g)) < 1e-6
+
+    def test_non_contracting_map_raises(self, scheme):
+        """sup |grad d| = 0.99 leaves the fixed-point update far above 1e-13 after 60 steps."""
+        g = Grid(32, scheme)
+        x, _ = g.coords()
+        disp = np.stack([0.99 * np.sin(2.0 * np.pi * x) / (2.0 * np.pi), np.zeros((32, 32))])
+        with pytest.raises(NonConvergence) as err:
+            inverse(TransportMap.from_displacement(g, disp))
+        assert err.value.iterations == 60 and err.value.residual >= 1e-13
 
 
 class TestCovariantDerivative:
@@ -305,8 +321,8 @@ class TestSymplecticFlow:
             speed = np.sin(2.0 * np.pi * y)
         else:
             speed = np.sin(2.0 * np.pi * y) * np.sin(2.0 * np.pi * h) / (2.0 * np.pi * h)
-        assert np.max(np.abs(phi.disp_x - speed)) < 1e-10
-        assert not phi.disp_y.any()
+        assert np.max(np.abs(phi.disp[0] - speed)) < 1e-10
+        assert not phi.disp[1].any()
         assert np.max(np.abs(phi.jacobian - 1.0)) < 1e-9
 
     def test_flat_background_jacobian_is_one(self):
@@ -362,8 +378,7 @@ class TestCompositionScheme:
         frames = self.time_family(g, rng)
         direct = symplectic_flow(frames[0][None], u, substeps=8)
         comp = composition_scheme(frames, 1, u, substeps_per_leg=8)
-        assert np.array_equal(comp.disp_x, direct.disp_x)
-        assert np.array_equal(comp.disp_y, direct.disp_y)
+        assert np.array_equal(comp.disp, direct.disp)
 
     def test_autonomous_family_matches_single_flow(self, scheme):
         g = Grid(32, scheme)
