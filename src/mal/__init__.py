@@ -70,7 +70,6 @@ from .geodesics import (
     hcma_residual,
     jacobi_field,
     jacobi_residual,
-    monotone_limit_check,
     solve_epsilon_geodesic,
     sup_distance,
     time_convexity_margin,
@@ -81,6 +80,7 @@ from .action import (
     competitor_paths,
     least_action,
     midpoint_convexity_margin,
+    monotone_limit_check,
     path_action,
     verify_action_convexity,
     verify_comparison_inequality,

@@ -17,14 +17,17 @@ The verification operations return the VerificationReport of
 mal.lagrangians for the structural facts: convexity of L along Jacobi fields,
 the triangle comparison for positively homogeneous L, constancy of L(udot)
 along weak geodesics, the principle of least action, convexity of
-t -> least_action(u(t), v(t)) for two weak geodesics, and continuity of least
-action under decreasing endpoint approximation.  Every suite pairs with a
-negative control in the tests.
+t -> least_action(u(t), v(t)) for two weak geodesics, continuity of least
+action under decreasing endpoint approximation, and monotone weak-geodesic
+limits along decreasing endpoint sequences.  The least-action sweeps take one
+LeastActionQuery, which fixes the Lagrangian, the horizon and the solve
+settings, and move only its endpoints.  Every suite pairs with a negative
+control in the tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -34,8 +37,8 @@ from .fixtures import random_band_limited
 from .geodesics import (
     EpsGeodesicProblem,
     jacobi_field,
-    require_decreasing_to,
     solve_epsilon_geodesic,
+    sup_distance,
     weak_geodesic,
 )
 from .grid import Grid, Potential, WeightedValues, laplacian, make_potential
@@ -395,42 +398,28 @@ def verify_jacobi_convexity(
 
 
 def verify_action_convexity(
-    spec: LagrangianSpec,
+    q: LeastActionQuery,
     u_path: PotentialPath,
     v_path: PotentialPath,
-    s_duration: float,
     stride: int,
     tol: float = 5e-3,
-    time_steps: int = 16,
-    continuation_tol: float = 1e-5,
-    solver_tol: float = 1e-8,
 ) -> VerificationReport:
     """Convexity of t -> least_action(u(t), v(t)) for two weak geodesics.
 
-    Both paths must share uniformly spaced knot times; the least action over
-    horizon s_duration is computed at every stride-th knot and checked for
-    discrete midpoint convexity.
+    q joins the first knots of the two paths; at every stride-th knot its
+    endpoints move to that knot of each path, and the sampled least actions
+    are checked for discrete midpoint convexity.  Both paths must share
+    uniformly spaced knot times.
     """
-    if u_path.grid != v_path.grid:
-        raise ValueError("paths must share one grid")
+    if q.start is not u_path.knots[0] or q.end is not v_path.knots[0]:
+        raise ValueError("q must join the first knots of the two paths")
     if not np.allclose(u_path.times, v_path.times, rtol=0.0, atol=1e-12):
         raise ValueError("paths must share their knot times")
     u_path.uniform_step  # raises ValueError unless the knots are uniformly spaced
     indices = range(0, len(u_path.knots), stride)
     if len(indices) < 3:
         raise ValueError("need at least three sample times")
-    vals = []
-    for idx in indices:
-        q = LeastActionQuery(
-            u_path.knots[idx],
-            v_path.knots[idx],
-            s_duration,
-            spec,
-            tol=continuation_tol,
-            time_steps=time_steps,
-            solver_tol=solver_tol,
-        )
-        vals.append(least_action(q))
+    vals = [least_action(replace(q, start=u_path.knots[i], end=v_path.knots[i])) for i in indices]
     worst = max(0.0, midpoint_excess(vals))
     return VerificationReport(
         "action-convexity",
@@ -439,58 +428,104 @@ def verify_action_convexity(
         {
             "n": u_path.grid.n,
             "scheme": u_path.grid.scheme,
-            "s_duration": s_duration,
+            "s_duration": q.duration,
             "sample_times": tuple(float(u_path.times[i]) for i in indices),
-            "time_steps": time_steps,
+            "time_steps": q.time_steps,
             "values": tuple(float(v) for v in vals),
         },
     )
 
 
 def verify_least_action_continuity(
-    spec: LagrangianSpec,
+    q: LeastActionQuery,
     start_seq: Sequence[Potential],
     end_seq: Sequence[Potential],
-    start: Potential,
-    end: Potential,
-    duration: float = 1.0,
     tol: float = 5e-3,
-    time_steps: int = 16,
-    continuation_tol: float = 1e-5,
-    solver_tol: float = 1e-8,
     geodesic: PotentialPath | None = None,
 ) -> VerificationReport:
     """Continuity of least action under decreasing endpoint approximation.
 
-    The endpoint sequences must decrease pointwise to the limits from above.
-    The violation measure is the larger of the final discrepancy
+    q is the limit query; each term replaces its endpoints by one pair of the
+    sequences, which must decrease pointwise to the limits from above.  The
+    violation measure is the larger of the final discrepancy
     |value_last - limit value| and the net increase of the discrepancy over
     the sequence, so a tail that grows fails even when it ends small.  A
     precomputed weak geodesic between the limits may be supplied for the
     limit value, as in least_action.
     """
-    require_decreasing_to(start_seq, end_seq, start, end)
-
-    def value(w, w_prime, path=None):
-        q = LeastActionQuery(
-            w, w_prime, duration, spec,
-            tol=continuation_tol, time_steps=time_steps, solver_tol=solver_tol,
-        )
-        return least_action(q, path)
-
-    limit_value = value(start, end, geodesic)
-    discrepancies = [abs(value(a, b) - limit_value) for a, b in zip(start_seq, end_seq)]
+    require_decreasing_to(start_seq, end_seq, q.start, q.end)
+    limit_value = least_action(q, geodesic)
+    discrepancies = [
+        abs(least_action(replace(q, start=a, end=b)) - limit_value)
+        for a, b in zip(start_seq, end_seq)
+    ]
     worst = max(discrepancies[-1], discrepancies[-1] - discrepancies[0])
     return VerificationReport(
         "least-action-continuity",
         worst,
         tol,
         {
-            "n": start.grid.n,
-            "scheme": start.grid.scheme,
+            "n": q.start.grid.n,
+            "scheme": q.start.grid.scheme,
             "terms": len(start_seq),
-            "duration": duration,
+            "duration": q.duration,
             "limit_value": limit_value,
             "discrepancies": tuple(discrepancies),
+        },
+    )
+
+
+def require_decreasing_to(a_seq, b_seq, a: Potential, b: Potential) -> None:
+    """ValueError unless both endpoint sequences are non-empty and of equal
+    length, decrease pointwise, and dominate their limits a and b."""
+    if len(a_seq) != len(b_seq) or not a_seq:
+        raise ValueError("endpoint sequences must be non-empty and of equal length")
+    slack = 1e-12
+    for seq, limit in ((a_seq, a), (b_seq, b)):
+        for earlier, later in zip(seq, seq[1:]):
+            if float((earlier.field - later.field).min()) < -slack:
+                raise ValueError("endpoint sequences must decrease pointwise")
+        if float((seq[-1].field - limit.field).min()) < -slack:
+            raise ValueError("endpoint sequences must dominate their limit")
+
+
+def monotone_limit_check(
+    u_a_seq: list[Potential],
+    u_b_seq: list[Potential],
+    u_a: Potential,
+    u_b: Potential,
+    tol: float = 1e-6,
+    time_steps: int = 32,
+) -> VerificationReport:
+    """Decreasing endpoint sequences should give pointwise decreasing geodesics.
+
+    Solves the weak geodesic over [0, 1] for each endpoint pair and for the
+    limit pair, then reports max(0, -min margin), the margins being the
+    pointwise drops between consecutive paths and against the limit path,
+    and records the violation count and the final sup-distance to the limit.
+    """
+    require_decreasing_to(u_a_seq, u_b_seq, u_a, u_b)
+    paths = [
+        weak_geodesic(a, b, (0.0, 1.0), tol, time_steps) for a, b in zip(u_a_seq, u_b_seq)
+    ]
+    limit_path = weak_geodesic(u_a, u_b, (0.0, 1.0), tol, time_steps)
+    min_margin = np.inf
+    violations = 0
+    for earlier, later in zip(paths, paths[1:]):
+        margin = float((earlier.fields - later.fields).min())
+        min_margin = min(min_margin, margin)
+        violations += int(margin < -tol)
+    for path in paths:
+        margin = float((path.fields - limit_path.fields).min())
+        min_margin = min(min_margin, margin)
+        violations += int(margin < -tol)
+    return VerificationReport(
+        "monotone-limit",
+        max(0.0, -min_margin),
+        tol,
+        {
+            "min_margin": min_margin,
+            "violations": violations,
+            "final_sup_distance": sup_distance(paths[-1], limit_path),
         },
     )

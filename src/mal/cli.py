@@ -25,7 +25,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -244,13 +244,14 @@ def _fmt(x: float) -> str:
 
 
 def _write_field_csv(path: Path, times, stack, column: str) -> None:
+    """One (t, i, j, value) row per cell, in csv.writer's CRLF rows, one write per knot."""
+    cells = [f"{i},{j}," for i, j in np.ndindex(*stack.shape[1:])]
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "i", "j", column])
+        fh.write(f"t,i,j,{column}\r\n")
         for t, field in zip(times, stack):
-            for i in range(field.shape[0]):
-                for j in range(field.shape[1]):
-                    writer.writerow([_fmt(float(t)), i, j, _fmt(float(field[i, j]))])
+            lead = f"{_fmt(float(t))},"
+            rows = (f"{lead}{cell}{v:.17g}\r\n" for cell, v in zip(cells, field.ravel().tolist()))
+            fh.write("".join(rows))
 
 
 def cmd_solve(cfg: ExperimentConfig) -> int:
@@ -315,12 +316,18 @@ class VerifyRun:
     end: Potential
 
     @cached_property
-    def geodesic(self) -> PotentialPath:
+    def query(self) -> LeastActionQuery:
+        """Least action between the fixture endpoints under the config's settings."""
         cfg = self.cfg
-        return weak_geodesic(
-            self.start, self.end, (0.0, cfg.duration),
+        return LeastActionQuery(
+            self.start, self.end, cfg.duration, cfg.lagrangian,
             cfg.continuation_tol, cfg.time_steps, cfg.solver_tol,
         )
+
+    @cached_property
+    def geodesic(self) -> PotentialPath:
+        q = self.query
+        return weak_geodesic(q.start, q.end, (0.0, q.duration), q.tol, q.time_steps, q.solver_tol)
 
     @cached_property
     def detour(self) -> PotentialPath:
@@ -347,12 +354,8 @@ def _noether(run: VerifyRun) -> tuple[VerificationReport, VerificationReport]:
 
 def _least_action(run: VerifyRun) -> tuple[VerificationReport, VerificationReport]:
     cfg = run.cfg
-    q = LeastActionQuery(
-        run.start, run.end, cfg.duration, cfg.lagrangian,
-        tol=cfg.continuation_tol, time_steps=cfg.time_steps, solver_tol=cfg.solver_tol,
-    )
     return tuple(
-        verify_least_action(q, cfg.count, cfg.seed, cfg.tolerance, geodesic=path)
+        verify_least_action(run.query, cfg.count, cfg.seed, cfg.tolerance, geodesic=path)
         for path in (run.geodesic, run.detour)
     )
 
@@ -407,9 +410,8 @@ def _action_convexity(run: VerifyRun) -> tuple[VerificationReport, VerificationR
     )
     stride = max(1, cfg.time_steps // 8)
     report = verify_action_convexity(
-        cfg.lagrangian, run.geodesic, v_path, cfg.duration, stride, cfg.tolerance,
-        time_steps=max(8, cfg.time_steps // 2), continuation_tol=cfg.continuation_tol,
-        solver_tol=cfg.solver_tol,
+        replace(run.query, end=v_path.knots[0], time_steps=max(8, cfg.time_steps // 2)),
+        run.geodesic, v_path, stride, cfg.tolerance,
     )
     # vacuity guard: a synthetic concave sequence at the same sample
     # times must register a violation of the expected h^2 size
@@ -425,11 +427,7 @@ def _continuity(run: VerifyRun) -> tuple[VerificationReport, VerificationReport]
     seq_b = [make_potential(run.end.field + s, cfg.grid) for s in shifts]
 
     def converges(seq_a):
-        return verify_least_action_continuity(
-            cfg.lagrangian, seq_a, seq_b, run.start, run.end, cfg.duration, cfg.tolerance,
-            time_steps=cfg.time_steps, continuation_tol=cfg.continuation_tol,
-            solver_tol=cfg.solver_tol, geodesic=run.geodesic,
-        )
+        return verify_least_action_continuity(run.query, seq_a, seq_b, cfg.tolerance, run.geodesic)
 
     return (
         converges([make_potential(run.start.field + s, cfg.grid) for s in shifts]),

@@ -39,7 +39,6 @@ from .grid import (
     make_potential,
     poisson_bracket,
 )
-from .lagrangians import VerificationReport
 from .transport import PotentialPath, centered_differences, covariant_derivative
 
 _LINE_SEARCH_HALVINGS = 30
@@ -360,59 +359,3 @@ def jacobi_residual(sol: GeodesicSolution, xi: NDArray[np.float64]) -> float:
     lo = max((m + 2) // 3, 2)
     hi = min((2 * m) // 3, m - 2)
     return float(np.abs(residual[lo - 2 : hi - 1]).max())
-
-
-def require_decreasing_to(a_seq, b_seq, a: Potential, b: Potential) -> None:
-    """ValueError unless both endpoint sequences are non-empty and of equal
-    length, decrease pointwise, and dominate their limits a and b."""
-    if len(a_seq) != len(b_seq) or not a_seq:
-        raise ValueError("endpoint sequences must be non-empty and of equal length")
-    slack = 1e-12
-    for seq, limit in ((a_seq, a), (b_seq, b)):
-        for earlier, later in zip(seq, seq[1:]):
-            if float((earlier.field - later.field).min()) < -slack:
-                raise ValueError("endpoint sequences must decrease pointwise")
-        if float((seq[-1].field - limit.field).min()) < -slack:
-            raise ValueError("endpoint sequences must dominate their limit")
-
-
-def monotone_limit_check(
-    u_a_seq: list[Potential],
-    u_b_seq: list[Potential],
-    u_a: Potential,
-    u_b: Potential,
-    tol: float = 1e-6,
-    time_steps: int = 32,
-) -> VerificationReport:
-    """Decreasing endpoint sequences should give pointwise decreasing geodesics.
-
-    Solves the weak geodesic over [0, 1] for each endpoint pair and for the
-    limit pair, then reports max(0, -min margin), the margins being the
-    pointwise drops between consecutive paths and against the limit path,
-    and records the violation count and the final sup-distance to the limit.
-    """
-    require_decreasing_to(u_a_seq, u_b_seq, u_a, u_b)
-    paths = [
-        weak_geodesic(a, b, (0.0, 1.0), tol, time_steps) for a, b in zip(u_a_seq, u_b_seq)
-    ]
-    limit_path = weak_geodesic(u_a, u_b, (0.0, 1.0), tol, time_steps)
-    min_margin = np.inf
-    violations = 0
-    for earlier, later in zip(paths, paths[1:]):
-        margin = float((earlier.fields - later.fields).min())
-        min_margin = min(min_margin, margin)
-        violations += int(margin < -tol)
-    for path in paths:
-        margin = float((path.fields - limit_path.fields).min())
-        min_margin = min(min_margin, margin)
-        violations += int(margin < -tol)
-    return VerificationReport(
-        "monotone-limit",
-        max(0.0, -min_margin),
-        tol,
-        {
-            "min_margin": min_margin,
-            "violations": violations,
-            "final_sup_distance": sup_distance(paths[-1], limit_path),
-        },
-    )

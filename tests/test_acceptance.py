@@ -44,7 +44,6 @@ from mal.geodesics import (
     EpsGeodesicProblem,
     hcma_residual,
     jacobi_field,
-    monotone_limit_check,
     solve_epsilon_geodesic,
     weak_geodesic,
 )
@@ -52,6 +51,7 @@ from mal.action import (
     LeastActionQuery,
     least_action,
     midpoint_convexity_margin,
+    monotone_limit_check,
     verify_action_convexity,
     verify_comparison_inequality,
     verify_jacobi_convexity,
@@ -388,10 +388,10 @@ def test_09_least_action_is_convex_between_geodesics():
             (0.0, 1.0), tol=1e-4, time_steps=16,
         )
         for spec in specs:
-            rep = verify_action_convexity(
-                spec, u_path, v_path, 1.0, 2,
-                tol=5e-3, time_steps=16, continuation_tol=1e-4,
+            q = LeastActionQuery(
+                u_path.knots[0], v_path.knots[0], 1.0, spec, tol=1e-4, time_steps=16
             )
+            rep = verify_action_convexity(q, u_path, v_path, 2, tol=5e-3)
             worst = max(worst, rep.worst)
 
     ok = closed_worst <= 1e-6 and worst <= 5e-3

@@ -42,12 +42,20 @@ def quadratic_lagrangian():
     return Orlicz(lambda t: t * t)
 
 
+def joining(u_path, v_path, spec, duration=1.0, **settings):
+    """Least-action query between the first knots of two paths."""
+    return LeastActionQuery(u_path.knots[0], v_path.knots[0], duration, spec, **settings)
+
+
 class TestQueryValidation:
     def test_grid_mismatch(self):
         a = constant_potential(Grid(8), 0.0)
         b = constant_potential(Grid(16), 1.0)
         with pytest.raises(ValueError):
             LeastActionQuery(a, b, 1.0, Power(1.0))
+        central = constant_potential(Grid(8, "central"), 1.0)
+        with pytest.raises(ValueError, match="one grid"):
+            LeastActionQuery(a, central, 1.0, Power(1.0))
 
     @pytest.mark.parametrize("duration", [0.0, -1.0])
     def test_duration_positive(self, duration):
@@ -324,6 +332,31 @@ class TestCompetitorPaths:
                 assert np.array_equal(got.field, want.field)
                 assert np.array_equal(got.density, want.density)
 
+    def test_draw_rejected_by_make_potential_counts_as_rejection(self, monkeypatch):
+        g = Grid(16)
+        rng = np.random.default_rng(3)
+        u_a, u_b = random_potential(g, rng, 0.02), random_potential(g, rng, 0.02)
+        expected = competitor_paths(u_a, u_b, 1.0, 3, seed=4)
+        build = action.make_potential
+        rejected = []
+
+        def counting(field, grid):
+            try:
+                return build(field, grid)
+            except NotKahler:
+                rejected.append(1)
+                raise
+
+        # every draw now reaches make_potential, which alone rejects the inadmissible ones
+        monkeypatch.setattr(action, "_admissible", lambda density, draw, grid: True)
+        monkeypatch.setattr(action, "make_potential", counting)
+        v_a, v_b = make_potential(u_a.field, g), make_potential(u_b.field, g)
+        paths = competitor_paths(v_a, v_b, 1.0, 3, seed=4)
+        assert rejected
+        for want, got in zip(expected, paths, strict=True):
+            assert np.array_equal(got.times, want.times)
+            assert np.array_equal(got.fields, want.fields)
+
     def test_forms_of_one_check_share_one_draw(self, monkeypatch):
         calls = []
 
@@ -579,9 +612,8 @@ class TestActionConvexity:
     def test_identical_geodesics_flat(self):
         g = Grid(8)
         path = linear_path(constant_potential(g, 0.0), constant_potential(g, 1.0), 0.0, 1.0, 4)
-        report = verify_action_convexity(
-            Power(1.0), path, path, 1.0, 1, tol=1e-6, time_steps=8
-        )
+        q = joining(path, path, Power(1.0), tol=1e-5, time_steps=8)
+        report = verify_action_convexity(q, path, path, 1, tol=1e-6)
         assert report.passed
         assert max(abs(v) for v in report.provenance["values"]) < 1e-4
 
@@ -591,16 +623,8 @@ class TestActionConvexity:
         u_path = linear_path(constant_potential(g, 0.0), constant_potential(g, 1.0), 0.0, 1.0, 8)
         v_path = linear_path(constant_potential(g, 0.5), constant_potential(g, -0.3), 0.0, 1.0, 8)
         s_duration = 2.0
-        report = verify_action_convexity(
-            quadratic_lagrangian(),
-            u_path,
-            v_path,
-            s_duration,
-            2,
-            tol=1e-6,
-            time_steps=8,
-            continuation_tol=1e-6,
-        )
+        q = joining(u_path, v_path, quadratic_lagrangian(), s_duration, tol=1e-6, time_steps=8)
+        report = verify_action_convexity(q, u_path, v_path, 2, tol=1e-6)
         assert report.passed
         gap = lambda t: (0.5 - 0.8 * t) - t
         for t, value in zip(u_path.times[::2], report.provenance["values"]):
@@ -615,9 +639,8 @@ class TestActionConvexity:
         v_path = weak_geodesic(
             random_potential(g, rng), random_potential(g, rng), (0.0, 1.0), 1e-5, 16
         )
-        report = verify_action_convexity(
-            Power(2.0), u_path, v_path, 1.0, 4, tol=5e-3
-        )
+        q = joining(u_path, v_path, Power(2.0), tol=1e-5, time_steps=16)
+        report = verify_action_convexity(q, u_path, v_path, 4, tol=5e-3)
         assert report.passed
 
     def test_sample_validation(self):
@@ -627,16 +650,14 @@ class TestActionConvexity:
         times = np.array([0.0, 0.25, 0.5, 1.0])
         times.setflags(write=False)
         uneven = PotentialPath(times, tuple(constant_potential(g, t) for t in times), "piecewise-linear")
-        with pytest.raises(ValueError):
-            verify_action_convexity(Power(1.0), path, other, 1.0, 1)
-        with pytest.raises(ValueError):
-            verify_action_convexity(Power(1.0), path, path, 1.0, 3)
-        with pytest.raises(ValueError):
-            verify_action_convexity(Power(1.0), uneven, uneven, 1.0, 1)
-        gc = Grid(8, "central")
-        central = linear_path(constant_potential(gc, 0.0), constant_potential(gc, 1.0), 0.0, 1.0, 4)
-        with pytest.raises(ValueError, match="one grid"):
-            verify_action_convexity(Power(1.0), path, central, 1.0, 1)
+        with pytest.raises(ValueError, match="share their knot times"):
+            verify_action_convexity(joining(path, other, Power(1.0)), path, other, 1)
+        with pytest.raises(ValueError, match="three sample times"):
+            verify_action_convexity(joining(path, path, Power(1.0)), path, path, 3)
+        with pytest.raises(ValueError, match="uniformly"):
+            verify_action_convexity(joining(uneven, uneven, Power(1.0)), uneven, uneven, 1)
+        with pytest.raises(ValueError, match="first knots"):
+            verify_action_convexity(joining(path, other, Power(1.0)), path, path, 1)
 
 
 class TestLeastActionContinuity:
@@ -644,9 +665,8 @@ class TestLeastActionContinuity:
         g = Grid(8)
         u_a = constant_potential(g, 0.0)
         u_b = constant_potential(g, 0.6)
-        report = verify_least_action_continuity(
-            Power(1.0), [u_a, u_a], [u_b, u_b], u_a, u_b, time_steps=8
-        )
+        q = LeastActionQuery(u_a, u_b, 1.0, Power(1.0), tol=1e-5, time_steps=8)
+        report = verify_least_action_continuity(q, [u_a, u_a], [u_b, u_b])
         assert report.passed
         assert report.worst < 1e-9
 
@@ -659,9 +679,8 @@ class TestLeastActionContinuity:
         shifts = [0.2, 0.1, 0.05]
         seq_a = [make_potential(u_a.field + s, g) for s in shifts]
         seq_b = [make_potential(u_b.field + s, g) for s in shifts]
-        report = verify_least_action_continuity(
-            Power(1.0), seq_a, seq_b, u_a, u_b, time_steps=16
-        )
+        q = LeastActionQuery(u_a, u_b, 1.0, Power(1.0), tol=1e-5, time_steps=16)
+        report = verify_least_action_continuity(q, seq_a, seq_b)
         assert report.passed
         assert report.worst < 1e-9
 
@@ -672,9 +691,8 @@ class TestLeastActionContinuity:
         u_b = random_potential(g, rng)
         shifts = [0.04, 0.01, 0.0025]
         seq_a = [make_potential(u_a.field + s, g) for s in shifts]
-        report = verify_least_action_continuity(
-            Power(1.0), seq_a, [u_b] * 3, u_a, u_b, tol=5e-3, time_steps=16
-        )
+        q = LeastActionQuery(u_a, u_b, 1.0, Power(1.0), tol=1e-5, time_steps=16)
+        report = verify_least_action_continuity(q, seq_a, [u_b] * 3, tol=5e-3)
         assert report.passed
         disc = report.provenance["discrepancies"]
         assert disc[0] > disc[1] > disc[2]
@@ -685,7 +703,9 @@ class TestLeastActionContinuity:
         u_b = constant_potential(g, 0.6)
         rising = [make_potential(u_a.field + s, g) for s in (0.1, 0.2)]
         with pytest.raises(ValueError):
-            verify_least_action_continuity(Power(1.0), rising, [u_b] * 2, u_a, u_b)
+            verify_least_action_continuity(
+                LeastActionQuery(u_a, u_b, 1.0, Power(1.0)), rising, [u_b] * 2
+            )
 
     def test_sequence_below_limit_rejected(self):
         g = Grid(8)
@@ -693,10 +713,10 @@ class TestLeastActionContinuity:
         u_b = constant_potential(g, 0.6)
         below = [make_potential(u_a.field - 0.1, g)]
         with pytest.raises(ValueError):
-            verify_least_action_continuity(Power(1.0), below, [u_b], u_a, u_b)
+            verify_least_action_continuity(LeastActionQuery(u_a, u_b, 1.0, Power(1.0)), below, [u_b])
 
     def test_length_mismatch_rejected(self):
         g = Grid(8)
         u = constant_potential(g, 0.0)
         with pytest.raises(ValueError):
-            verify_least_action_continuity(Power(1.0), [u], [], u, u)
+            verify_least_action_continuity(LeastActionQuery(u, u, 1.0, Power(1.0)), [u], [])

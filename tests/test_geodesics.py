@@ -8,6 +8,7 @@ import pytest
 from helpers import inadmissible_lgmres
 
 from mal import geodesics
+from mal.action import monotone_limit_check
 from mal.errors import NonConvergence, PerturbationTooLarge, PositivityLoss
 from mal.fixtures import random_potential
 from mal.geodesics import (
@@ -16,7 +17,6 @@ from mal.geodesics import (
     hcma_residual,
     jacobi_field,
     jacobi_residual,
-    monotone_limit_check,
     solve_epsilon_geodesic,
     sup_distance,
     time_convexity_margin,
