@@ -238,7 +238,7 @@ def epsilon_continuation(
     for _ in range(_MAX_LEVELS):
         problem = replace(problem, epsilon=problem.epsilon / 2.0)
         nxt = solve_epsilon_geodesic(problem, initial=sols[-1].path.fields)
-        gap = float(np.abs(nxt.path.fields - sols[-1].path.fields).max())
+        gap = sup_distance(nxt.path, sols[-1].path)
         sols.append(nxt)
         if gap < tol:
             return sols

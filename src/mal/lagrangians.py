@@ -120,7 +120,7 @@ class Power:
 
     def of_weighted(self, wv: WeightedValues) -> float:
         s = float(np.dot(np.abs(wv.values) ** self.p, wv.weights))
-        return s if self.p == 1.0 else s ** (1.0 / self.p)
+        return s ** (1.0 / self.p)
 
 
 @dataclass(frozen=True, eq=False)

@@ -195,10 +195,9 @@ def similarly_ordered(g, h) -> bool:
     order = np.argsort(g, kind="stable")
     gs = g[order]
     hs = h[order]
-    ends = np.concatenate([np.flatnonzero(np.diff(gs) != 0.0), [gs.size - 1]])
-    starts = np.concatenate([[0], ends[:-1] + 1])
-    hmax = np.array([hs[a : b + 1].max() for a, b in zip(starts, ends)])
-    hmin = np.array([hs[a : b + 1].min() for a, b in zip(starts, ends)])
+    starts = np.concatenate([[0], np.flatnonzero(np.diff(gs) != 0.0) + 1])
+    hmax = np.maximum.reduceat(hs, starts)
+    hmin = np.minimum.reduceat(hs, starts)
     return bool(np.all(hmax[:-1] <= hmin[1:]))
 
 

@@ -123,30 +123,38 @@ class TestPathAction:
 
     @pytest.mark.parametrize("scheme", ["spectral", "central"])
     def test_native_matches_knot_average_potentials(self, scheme):
-        """Interval measures from knot densities equal those of the knot-average potentials."""
+        """Interval measures from knot densities equal those of the knot-average potentials,
+        on a solver-native geodesic and on piecewise-linear competitors alike."""
         g = Grid(16, scheme)
         rng = np.random.default_rng(8)
-        path = weak_geodesic(random_potential(g, rng), random_potential(g, rng), (0.0, 1.0), 1e-4, 8)
-        dt, f, quot = np.diff(path.times), path.fields, path.interval_velocity
-        for spec in (Power(1.0), Power(2.0), LorentzWeak(0.5), quadratic_lagrangian()):
-            want = np.sum([
-                dt[i] * evaluate(spec, make_potential(0.5 * (f[i] + f[i + 1]), g), quot[i])
-                for i in range(dt.size)
-            ])
-            assert path_action(spec, path) == pytest.approx(want, rel=1e-14, abs=0.0)
+        u_a, u_b = random_potential(g, rng), random_potential(g, rng)
+        geodesic = weak_geodesic(u_a, u_b, (0.0, 1.0), 1e-4, 8)
+        for path in (geodesic, *competitor_paths(u_a, u_b, 1.0, 2, seed=4)):
+            dt, f, quot = np.diff(path.times), path.fields, path.interval_velocity
+            for spec in (Power(1.0), Power(2.0), LorentzWeak(0.5), quadratic_lagrangian()):
+                want = np.sum([
+                    dt[i] * evaluate(spec, make_potential(0.5 * (f[i] + f[i + 1]), g), quot[i])
+                    for i in range(dt.size)
+                ])
+                assert path_action(spec, path) == pytest.approx(want, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("scheme", ["spectral", "central"])
-    def test_piecewise_linear_matches_right_knots_bitwise(self, scheme):
+    def test_competitor_action_matches_gauss_legendre(self, scheme):
+        """For forms linear in the measure the integrand is affine on each segment."""
         g = Grid(16, scheme)
         rng = np.random.default_rng(9)
         u_a, u_b = random_potential(g, rng), random_potential(g, rng)
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights
         for path in competitor_paths(u_a, u_b, 1.0, 3, seed=4):
-            dt, quot = np.diff(path.times), path.interval_velocity
-            for spec in (Power(1.0), LorentzWeak(0.5)):
-                want = float(np.sum([
-                    dt[i] * evaluate(spec, path.knots[i + 1], quot[i]) for i in range(dt.size)
-                ]))
-                assert path_action(spec, path) == want
+            dt, f, quot = np.diff(path.times), path.fields, path.interval_velocity
+            for spec in (Power(1.0), quadratic_lagrangian()):
+                want = 0.0
+                for i in range(dt.size):
+                    for s, w in zip(nodes, weights):
+                        u = make_potential((1.0 - s) * f[i] + s * f[i + 1], g)
+                        want += dt[i] * w * evaluate(spec, u, quot[i])
+                assert path_action(spec, path) == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 class TestLeastAction:
@@ -404,7 +412,7 @@ class TestCompetitorPaths:
 
 class TestVerifyLeastAction:
     def test_constants_report_passes(self):
-        """Coarse grids need gentler competitor knots to tame quadrature bias."""
+        """A coarse grid passes with the default competitor knot amplitude."""
         g = Grid(8)
         q = LeastActionQuery(
             constant_potential(g, 0.0),
@@ -413,7 +421,7 @@ class TestVerifyLeastAction:
             quadratic_lagrangian(),
             time_steps=16,
         )
-        report = verify_least_action(q, count=6, seed=2, tol=5e-3, amplitude=0.02)
+        report = verify_least_action(q, count=6, seed=2, tol=5e-3)
         assert report.passed
         assert len(report.provenance["margins"]) == 6
 
@@ -455,6 +463,19 @@ class TestVerifyLeastAction:
         reused = verify_least_action(q, count=4, seed=0, geodesic=geo)
         assert direct.worst == reused.worst
         assert direct.provenance["margins"] == reused.provenance["margins"]
+
+    @pytest.mark.parametrize("scheme", ["spectral", "central"])
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_no_competitor_beats_constants_geodesic(self, n, scheme):
+        """Between constants the geodesic is least: every margin is nonnegative to rounding."""
+        g = Grid(n, scheme)
+        u_a, u_b = constant_potential(g, 0.0), constant_potential(g, 1.0)
+        geo = weak_geodesic(u_a, u_b, (0.0, 1.0), 1e-5, 8)
+        for seed in range(3):
+            for spec in (Power(1.0), Power(2.0), quadratic_lagrangian(), LorentzWeak(0.5)):
+                q = LeastActionQuery(u_a, u_b, 1.0, spec, tol=1e-5, time_steps=8)
+                report = verify_least_action(q, count=50, seed=seed, geodesic=geo)
+                assert min(report.provenance["margins"]) >= -1e-12
 
 
 class TestVerifyComparison:

@@ -446,23 +446,20 @@ class TestVerify:
         assert len(margins) == 3
         assert min(margins) > -5e-3
 
-    def test_least_action_control_on_constants(self, tmp_path):
+    @pytest.mark.parametrize("spec", ["power:p1", "power:p2", "orlicz:p2", "lorentz:a0.5"])
+    def test_least_action_control_on_constants(self, tmp_path, spec):
         # Power(1) charges every pointwise-monotone path between constants alike,
         # so the detour must rise and fall at every cell to cost more
-        path = write_config(tmp_path)
+        path = write_config(tmp_path, **{"spec = power:p1": f"spec = {spec}"})
         assert main(["verify", "--config", str(path), "--suite", "least-action"]) == 0
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="right-endpoint competitor quadrature bias exceeds the 5e-3 tolerance at n = 4",
-    )
     @pytest.mark.parametrize("spec", ["power:p1", "power:p2", "orlicz:p2", "lorentz:a0.5"])
     def test_least_action_on_constants_at_n4(self, tmp_path, spec):
         path = write_config(tmp_path, **{"n = 8": "n = 4", "spec = power:p1": f"spec = {spec}"})
-        main(["verify", "--config", str(path), "--suite", "least-action"])
+        code = main(["verify", "--config", str(path), "--suite", "least-action"])
         primary, _ = read_records(tmp_path)
         assert primary["pass"], f"worst competitor margin {primary['value']:.3e}"
+        assert code == 0
 
     def test_multiple_suites(self, tmp_path):
         path = band_limited_config(tmp_path)
