@@ -6,10 +6,13 @@ per interior time knot,
     D_t^2 u = ((1/2)|grad udot|^2 + epsilon) / rho_u,
 
 with centered time differences on a uniform knot grid.  Solutions for
-epsilon > 0 are produced by a damped matrix-free Newton iteration (Krylov
-linear solves preconditioned by a constant-coefficient space-time operator
-diagonalized by sine and Fourier transforms).  Weak geodesics arise as
-warm-started continuation limits along a halving epsilon schedule.
+epsilon > 0 are produced by a damped matrix-free Newton iteration.  Each
+Newton system J s = -res is right-preconditioned by a constant-coefficient
+space-time operator P that sine (time) and Fourier (space) transforms
+diagonalize: a Krylov method solves J P^-1 y = -res, one operator applied in
+sine x Fourier coefficients with one forward transform, and the step is
+s = P^-1 y.  Weak geodesics arise as warm-started continuation limits along a
+halving epsilon schedule.
 
 Jacobi fields along an epsilon-geodesic are central differences of
 endpoint-perturbed solution families; the second-order Jacobi equation then
@@ -19,6 +22,7 @@ serves as an independent residual check on them.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 import scipy.fft
@@ -101,44 +105,77 @@ def _interior_residual(fields, dt, eps, grid):
     return res, rho, gx, gy, forcing
 
 
-def _jacobian_operator(fields, dt, grid, rho, gx, gy, forcing):
-    """Matrix-free directional derivative of the interior residual."""
-    m_int = fields.shape[0] - 2
-    n = grid.n
+@lru_cache(maxsize=16)
+def _sine_bases(m_int: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Orthonormal DST-I matrix S on m_int interior knots, and S stacked on D S.
+
+    S is symmetric and its own inverse.  D is the centred difference
+    v[i+1] - v[i-1] with v = 0 at both endpoints, so one product with the
+    stack maps sine coefficients to knot values and their undivided centred
+    differences.
+    """
+    k = np.arange(1, m_int + 1)
+    s = np.sqrt(2.0 / (m_int + 1)) * np.sin(np.pi * np.outer(k, k) / (m_int + 1))
+    padded = np.pad(s, ((1, 1), (0, 0)))
+    stacked = np.concatenate([s, padded[2:] - padded[:-2]])
+    for a in (s, stacked):
+        a.setflags(write=False)
+    return s, stacked
+
+
+def _newton_operators(dt, grid, rho, gx, gy, forcing):
+    """The right-preconditioned Jacobian J P^-1 and the preconditioner solve P^-1.
+
+    J is the directional derivative of the interior residual,
+
+        J v = D_t^2 v + c lap v - (grad udot . grad vdot) / rho,   c = forcing / (2 rho^2),
+
+    and P = D_t^2 + mean(c) lap is diagonal in sine (time) x Fourier (space)
+    modes.  Since P P^-1 y = y, with w = P^-1 y
+
+        J P^-1 y = y + (c - mean(c)) lap w - (grad udot . grad wdot) / rho,
+
+    so one apply takes one forward transform of y and three inverse ones.
+    The grid's Fourier symbols are exact for both schemes.
+    """
+    m_int, n = forcing.shape[0], grid.n
     rho_i = rho[1:-1]
+    sym = fourier_symbols(grid)
+    s, stacked = _sine_bases(m_int)
+    c = forcing / (2.0 * rho_i**2)
+    c_mean = float(np.mean(c))
+    lam_t = (2.0 * np.cos(np.pi * np.arange(1, m_int + 1) / (m_int + 1)) - 2.0) / dt**2
+    inv_denom = 1.0 / (lam_t[:, None, None] + c_mean * sym.lap)
+    c_dev = c - c_mean
+    # D in _sine_bases is undivided; its 1/(2 dt) is folded in here
+    ax, ay = gx / (2.0 * dt * rho_i), gy / (2.0 * dt * rho_i)
+
+    def in_time(matrix, spec):
+        """matrix applied along the knot axis of a half spectrum."""
+        out = matrix @ spec.reshape(m_int, -1).view(float)
+        return out.view(complex).reshape(-1, n, n // 2 + 1)
+
+    def coefficients(flat):
+        """Sine x Fourier coefficients of P^-1 y."""
+        spec = scipy.fft.rfft2(flat.reshape(m_int, n, n), axes=(-2, -1))
+        return in_time(s, spec) * inv_denom
+
+    def irfft2(spec):
+        return scipy.fft.irfft2(spec, s=(n, n), axes=(-2, -1))
 
     def matvec(flat):
-        v = np.zeros_like(fields)
-        v[1:-1] = flat.reshape(m_int, n, n)
-        vdot, second = centered_differences(v, dt)
-        vx, vy = gradient(vdot, grid)
-        out = (
-            second
-            - (gx * vx + gy * vy) / rho_i
-            + forcing * (0.5 * laplacian(v[1:-1], grid)) / rho_i**2
-        )
+        # spatial spectra of w = P^-1 y and of its centred time difference
+        both = in_time(stacked, coefficients(flat))
+        w_hat, wdot_hat = both[:m_int], both[m_int:]
+        out = flat.reshape(m_int, n, n) + c_dev * irfft2(sym.lap * w_hat)
+        out -= ax * irfft2(sym.ddx * wdot_hat) + ay * irfft2(sym.ddy * wdot_hat)
         return out.ravel()
 
-    size = m_int * n * n
-    return LinearOperator((size, size), matvec=matvec, dtype=float)
-
-
-def _preconditioner(m_int, dt, grid, coeff):
-    """Inverse of D_t^2 + coeff * Laplacian, diagonal in sine x Fourier modes."""
-    lam_t = (2.0 * np.cos(np.pi * np.arange(1, m_int + 1) / (m_int + 1)) - 2.0) / dt**2
-    denom = lam_t[:, None, None] + coeff * fourier_symbols(grid).lap[None, :, :]
-    n = grid.n
-
     def solve(flat):
-        w = flat.reshape(m_int, n, n)
-        w = scipy.fft.dst(w, type=1, axis=0, norm="ortho")
-        w = scipy.fft.rfft2(w, axes=(-2, -1))
-        w = scipy.fft.irfft2(w / denom, s=(n, n), axes=(-2, -1))
-        w = scipy.fft.dst(w, type=1, axis=0, norm="ortho")
-        return w.ravel()
+        return irfft2(in_time(s, coefficients(flat)))
 
     size = m_int * n * n
-    return LinearOperator((size, size), matvec=solve, dtype=float)
+    return LinearOperator((size, size), matvec=matvec, dtype=float), solve
 
 
 def _default_initial(p: EpsGeodesicProblem) -> NDArray[np.float64]:
@@ -156,12 +193,13 @@ def solve_epsilon_geodesic(
 ) -> GeodesicSolution:
     """Solve the two-point problem for epsilon > 0 by damped Newton iteration.
 
-    initial optionally warm-starts the iteration with a full knot stack
-    (endpoints are overwritten with the problem data).
+    initial optionally warm-starts the iteration with a full, finite knot
+    stack (endpoints are overwritten with the problem data).
 
     Raises:
-        NonConvergence: if 60 Newton steps leave the residual above
-            tol, or a line search finds no admissible decrease.
+        NonConvergence: if the starting residual is not finite, 60 Newton
+            steps leave the residual above tol, or a line search finds no
+            admissible decrease.
         PositivityLoss: if damping cannot keep an iterate admissible.
     """
     if p.epsilon <= 0:
@@ -173,21 +211,24 @@ def solve_epsilon_geodesic(
     fields = np.array(initial, dtype=float) if initial is not None else _default_initial(p)
     if fields.shape != (m + 1, grid.n, grid.n):
         raise ValueError("initial guess must provide one field per knot")
+    if not np.isfinite(fields).all():
+        raise ValueError("initial guess must be finite")
     fields[0] = p.endpoint_a.field
     fields[-1] = p.endpoint_b.field
 
     res, rho, gx, gy, forcing = _interior_residual(fields, dt, p.epsilon, grid)
     res_norm = float(np.abs(res).max())
+    if not np.isfinite(res_norm):
+        # accepted trials only lower a finite norm, so only the start can get here
+        raise NonConvergence(0, res_norm)
     iterations = 0  # lgmres calls, one per Newton step
     while res_norm > p.solver_tol:
         if iterations == _MAX_NEWTON_STEPS:
             raise NonConvergence(iterations, res_norm)
         iterations += 1
-        op = _jacobian_operator(fields, dt, grid, rho, gx, gy, forcing)
-        coeff = float(np.mean(forcing / (2.0 * rho[1:-1] ** 2)))
-        prec = _preconditioner(m - 1, dt, grid, coeff)
-        step, _ = lgmres(op, -res.ravel(), M=prec, rtol=1e-4, atol=0.0, maxiter=40)
-        step = step.reshape(m - 1, grid.n, grid.n)
+        op, precondition = _newton_operators(dt, grid, rho, gx, gy, forcing)
+        y, _ = lgmres(op, -res.ravel(), rtol=1e-4, atol=0.0, maxiter=40)
+        step = precondition(y)
 
         alpha = 1.0
         admissible = False

@@ -62,12 +62,17 @@ class Grid:
 
 
 class FourierSymbols(NamedTuple):
-    """Fourier multipliers of a grid on the rfft2 half spectrum.
+    """Fourier multipliers of a grid's scheme on the rfft2 half spectrum.
 
-    ddx, ddy: first derivatives 2 pi i k over integer wavenumbers k, with the
-    unpaired Nyquist mode zeroed since its odd derivative has no real value.
-    lap: the Laplacian symbol of the grid's scheme; the central one is
-    -4 n^2 (sin^2(pi k/n) + sin^2(pi l/n)).
+    Both schemes' operators are diagonal in Fourier modes, so each symbol is
+    exact: multiplying a transform by it and transforming back gives dx, dy
+    or laplacian of the field to rounding.
+    ddx, ddy: first derivatives over integer wavenumbers k, 2 pi i k for the
+    spectral scheme and i n sin(2 pi k/n) for the central one, with the
+    unpaired Nyquist mode zeroed since its odd derivative has no real value
+    (the central stencil annihilates it anyway).
+    lap: the Laplacian symbol, -4 pi^2 (k^2 + l^2) for the spectral scheme
+    and -4 n^2 (sin^2(pi k/n) + sin^2(pi l/n)) for the central one.
     """
 
     ddx: NDArray[np.complex128]
@@ -82,9 +87,11 @@ def fourier_symbols(grid: Grid) -> FourierSymbols:
     k, l = np.fft.fftfreq(n, d=1.0 / n), np.fft.rfftfreq(n, d=1.0 / n)
     if grid.scheme == "spectral":
         lap = -(4.0 * np.pi**2) * (k[:, None] ** 2 + l[None, :] ** 2)
+        odd = (2j * np.pi) * k
     else:
         lap = -4.0 * n**2 * (np.sin(np.pi * k / n)[:, None] ** 2 + np.sin(np.pi * l / n) ** 2)
-    odd = (2j * np.pi) * np.where(np.abs(k) == n // 2, 0.0, k)
+        odd = 1j * n * np.sin(2.0 * np.pi * k / n)
+    odd = np.where(np.abs(k) == n // 2, 0.0, odd)
     # rfft2 keeps l = 0 .. n/2, so ddy is odd's first n/2 + 1 entries (Nyquist last, zeroed)
     table = FourierSymbols(odd[:, None], odd[None, : n // 2 + 1], lap)
     for a in table:

@@ -1,6 +1,11 @@
-"""Shared generators for tests: exact-arithmetic weighted sets and small fields."""
+"""Shared generators and oracles for tests: exact-arithmetic weighted sets, small
+fields, a stand-in Krylov solver and the Newton operators composed from stencils."""
 
 import numpy as np
+import scipy.fft
+
+from mal.grid import fourier_symbols, gradient, laplacian
+from mal.transport import centered_differences
 
 
 def dyadic_weighted(rng, k, denom_pow=10, value_span=16):
@@ -44,9 +49,13 @@ def sorted_merge_oracle(values, weights):
 def inadmissible_lgmres(n):
     """Stand-in for scipy's lgmres whose Newton step no line-search halving makes admissible.
 
-    It returns 1e12 cos(2 pi x) on every interior knot of an n x n grid; even
-    at the smallest step length tried, 2**-30, the trial density goes
-    negative where cos(2 pi x) > 0.
+    lgmres solves for the preconditioned unknown y, and the solver's Newton
+    step is P^-1 y.  This returns y = 1e12 cos(2 pi x) on every interior knot
+    of an n x n grid.  P^-1 keeps that single Fourier mode and scales it by a
+    negative profile in time, largest in size at the middle knot, so the step
+    is a positive multiple of -cos(2 pi x).  Even at the smallest step length
+    tried, 2**-30, the trial density goes negative where cos(2 pi x) < 0,
+    deepest at x = 1/2.
     """
     row = 1e12 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
@@ -54,3 +63,41 @@ def inadmissible_lgmres(n):
         return np.resize(np.repeat(row, n), rhs.size), 0
 
     return solve
+
+
+def jacobian_oracle(fields, dt, grid, eps):
+    """The interior residual's Jacobian J and its preconditioner P, from stencils.
+
+    J v = D_t^2 v - (grad udot . grad vdot)/rho + forcing lap(v) / (2 rho^2) at
+    the interior knots of the stack `fields`, for v vanishing at both ends;
+    P = D_t^2 + mean(forcing / (2 rho^2)) lap.  Returns (J, P, P^-1), each a
+    function of an interior stack; P^-1 diagonalizes P by scipy's DST-I in
+    time and real FFTs in space.
+    """
+    rho = 1.0 + 0.5 * laplacian(fields, grid)
+    udot, _ = centered_differences(fields, dt)
+    gx, gy = gradient(udot, grid)
+    forcing = 0.5 * (gx * gx + gy * gy) + eps
+    rho_i = rho[1:-1]
+    c_mean = float(np.mean(forcing / (2.0 * rho_i**2)))
+
+    def padded(v):
+        return np.concatenate([np.zeros_like(v[:1]), v, np.zeros_like(v[:1])])
+
+    def jacobian(v):
+        vdot, second = centered_differences(padded(v), dt)
+        vx, vy = gradient(vdot, grid)
+        return second - (gx * vx + gy * vy) / rho_i + forcing * (0.5 * laplacian(v, grid)) / rho_i**2
+
+    def precond(v):
+        return centered_differences(padded(v), dt)[1] + c_mean * laplacian(v, grid)
+
+    def precond_solve(v):
+        m_int, n = v.shape[0], grid.n
+        lam_t = (2.0 * np.cos(np.pi * np.arange(1, m_int + 1) / (m_int + 1)) - 2.0) / dt**2
+        denom = lam_t[:, None, None] + c_mean * fourier_symbols(grid).lap
+        w = scipy.fft.dst(v, type=1, axis=0, norm="ortho")
+        w = scipy.fft.irfft2(scipy.fft.rfft2(w, axes=(-2, -1)) / denom, s=(n, n), axes=(-2, -1))
+        return scipy.fft.dst(w, type=1, axis=0, norm="ortho")
+
+    return jacobian, precond, precond_solve

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import inadmissible_lgmres
+from helpers import inadmissible_lgmres, jacobian_oracle
 
 from mal import geodesics
 from mal.action import monotone_limit_check
@@ -79,6 +79,56 @@ class TestProblemValidation:
         p = EpsGeodesicProblem(u, u, (0.0, 1.0), 1.0, time_steps=4)
         with pytest.raises(ValueError, match="one field per knot"):
             solve_epsilon_geodesic(p, initial=np.zeros((4, 8, 8)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_initial_rejected(self, bad):
+        u = constant_potential(Grid(8), 0.0)
+        p = EpsGeodesicProblem(u, u, (0.0, 1.0), 1.0, time_steps=4)
+        initial = np.zeros((5, 8, 8))
+        initial[2, 3, 5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            solve_epsilon_geodesic(p, initial=initial)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_residual_raises_before_krylov(self, monkeypatch):
+        # finite but so large that the squared velocity gradient overflows
+        def no_krylov(op, rhs, **kwargs):
+            raise AssertionError("lgmres called on a non-finite residual")
+
+        monkeypatch.setattr(geodesics, "lgmres", no_krylov)
+        g = Grid(8)
+        u = constant_potential(g, 0.0)
+        p = EpsGeodesicProblem(u, u, (0.0, 1.0), 1.0, time_steps=4)
+        x, _ = g.coords()
+        initial = np.broadcast_to(1e200 * np.cos(2.0 * np.pi * x), (5, 8, 8))
+        with pytest.raises(NonConvergence) as err:
+            solve_epsilon_geodesic(p, initial=initial)
+        assert err.value.iterations == 0 and not np.isfinite(err.value.residual)
+
+
+class TestNewtonOperators:
+    """The right-preconditioned operator against the stencil composition J(P^-1 y)."""
+
+    @pytest.mark.parametrize("n", [4, 32])
+    @pytest.mark.parametrize("time_steps", [2, 3, 16])
+    def test_matches_stencil_composition(self, scheme, n, time_steps):
+        # time_steps = 2 leaves one interior knot, whose centred difference
+        # must see zeros on both sides
+        g = Grid(n, scheme)
+        rng = np.random.default_rng(100 * n + time_steps)
+        a, b, c = (random_potential(g, rng) for _ in range(3))
+        lam = np.linspace(0.0, 1.0, time_steps + 1)[:, None, None]
+        fields = (1.0 - lam) * a.field + lam * b.field + np.sin(np.pi * lam) * c.field
+        dt, eps = 1.0 / time_steps, 0.3
+        _, rho, gx, gy, forcing = geodesics._interior_residual(fields, dt, eps, g)
+        op, precondition = geodesics._newton_operators(dt, g, rho, gx, gy, forcing)
+        jacobian, precond, precond_solve = jacobian_oracle(fields, dt, g, eps)
+        y = rng.standard_normal((time_steps - 1, n, n))
+        want = jacobian(precond_solve(y))
+        got = op.matvec(y.ravel()).reshape(y.shape)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        w = precondition(y.ravel())
+        assert np.abs(precond(w) - y).max() <= 1e-12 * np.abs(y).max()
 
 
 class TestConstantEndpoints:
@@ -225,8 +275,9 @@ class TestGenericSolves:
         )
         with pytest.raises(PositivityLoss) as err:
             solve_epsilon_geodesic(p)
-        assert 1 <= err.value.time_index <= 7
-        assert all(0 <= c < 16 for c in err.value.cell)
+        # the step P^-1 y dips the density deepest at the middle knot, x = 1/2
+        assert err.value.time_index == 4
+        assert err.value.cell[0] == 8 and 0 <= err.value.cell[1] < 16
 
     def test_native_stencil_velocity_identity(self, scheme):
         """With the solver's own stencils, grad_t udot = eps F(u) to solver tol."""

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from mal.errors import NotKahler
 from mal.fixtures import random_potential
@@ -9,6 +10,7 @@ from mal.grid import (
     WeightedValues,
     dx,
     dy,
+    fourier_symbols,
     gradient,
     inner_product_du,
     integrate,
@@ -206,6 +208,16 @@ class TestDerivativesAgainstReference:
             else:
                 tol = 1e-12 * np.abs(ref_lap).max()
                 assert np.abs(value - want[name]).max() <= tol, name
+
+    @pytest.mark.parametrize("n", [4, 16, 32, 64])
+    def test_symbols_match_reference(self, scheme, n):
+        """Each symbol, applied by real transforms, is its scheme's derivative."""
+        g = Grid(n, scheme)
+        f = np.random.default_rng(n).standard_normal((3, n, n))
+        spec = scipy.fft.rfft2(f, axes=(-2, -1))
+        for mult, want in zip(fourier_symbols(g), reference_derivatives(f, n, scheme)):
+            got = scipy.fft.irfft2(mult * spec, s=(n, n), axes=(-2, -1))
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestInnerProduct:
