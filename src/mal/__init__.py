@@ -18,7 +18,6 @@ from .errors import (
     NonConvergence,
     NotEquidistributed,
     NotKahler,
-    PerturbationTooLarge,
     PositivityLoss,
     StepUnstable,
 )

@@ -65,10 +65,10 @@ class LeastActionQuery:
     def __post_init__(self):
         if self.start.grid != self.end.grid:
             raise ValueError("endpoints must share one grid")
-        if not self.duration > 0.0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
+        if not 0.0 < self.duration < np.inf:
+            raise ValueError(f"duration must be finite and positive, got {self.duration}")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError("tol must be finite and positive")
 
 
 def path_action(spec: LagrangianSpec, path: PotentialPath) -> float:
@@ -144,8 +144,8 @@ def competitor_paths(
         raise ValueError(f"count must be at least 1, got {count}")
     if knot_budget < 0:
         raise ValueError("knot_budget must be nonnegative")
-    if not duration > 0.0:
-        raise ValueError("duration must be positive")
+    if not 0.0 < duration < np.inf:
+        raise ValueError("duration must be finite and positive")
     key = (start, end, duration, count, seed, knot_budget, amplitude)
     drawn = _COMPETITORS.get(key)
     if drawn is None:
@@ -359,7 +359,6 @@ def verify_jacobi_convexity(
     problem: EpsGeodesicProblem,
     direction_a: np.ndarray,
     direction_b: np.ndarray,
-    delta: float = 1e-3,
     tol: float = 1e-4,
     solution=None,
     field: np.ndarray | None = None,
@@ -374,7 +373,7 @@ def verify_jacobi_convexity(
     if solution is None:
         solution = solve_epsilon_geodesic(problem)
     if field is None:
-        field = jacobi_field(problem, direction_a, direction_b, delta)
+        field = jacobi_field(problem, direction_a, direction_b)
     worst = max(0.0, midpoint_convexity_margin(spec, solution.path, field))
     return VerificationReport(
         "jacobi-convexity",
@@ -385,7 +384,6 @@ def verify_jacobi_convexity(
             "scheme": problem.grid.scheme,
             "epsilon": problem.epsilon,
             "time_steps": problem.time_steps,
-            "delta": delta,
         },
     )
 

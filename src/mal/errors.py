@@ -51,10 +51,6 @@ class PositivityLoss(MalError):
         )
 
 
-class PerturbationTooLarge(MalError):
-    """Endpoint perturbation for a Jacobi-field solve left the admissible space."""
-
-
 class GenerationFailed(MalError):
     """Randomized path generation failed to produce an admissible sample."""
 

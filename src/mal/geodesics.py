@@ -14,6 +14,10 @@ sine x Fourier coefficients with one forward transform, and the step is
 s = P^-1 y.  Weak geodesics arise as warm-started continuation limits along a
 halving epsilon schedule.
 
+Every iterate is admissible: a warm start needs positive interior densities,
+and the line search halves the step until a trial is admissible and lowers the
+sup residual.
+
 Jacobi fields along an epsilon-geodesic are central differences of
 endpoint-perturbed solution families; the second-order Jacobi equation then
 serves as an independent residual check on them.
@@ -29,7 +33,7 @@ import scipy.fft
 from numpy.typing import NDArray
 from scipy.sparse.linalg import LinearOperator, lgmres
 
-from .errors import NonConvergence, NotKahler, PerturbationTooLarge, PositivityLoss
+from .errors import NonConvergence, NotKahler, PositivityLoss
 from .grid import (
     Grid,
     GridField,
@@ -64,12 +68,11 @@ class EpsGeodesicProblem:
     def __post_init__(self):
         if self.endpoint_a.grid != self.endpoint_b.grid:
             raise ValueError("endpoints must share one grid")
-        a, b = self.interval
-        if not a < b:
-            raise ValueError("interval must satisfy a < b")
         # written so that NaN, which fails every comparison, is rejected too
-        if not 0 <= self.epsilon < np.inf:
-            raise ValueError("epsilon must be finite and >= 0")
+        if not -np.inf < self.interval[0] < self.interval[1] < np.inf:
+            raise ValueError("interval must be finite with a < b")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be finite and positive")
         if self.time_steps < 2:
             raise ValueError("need at least two time steps")
         if not 0 < self.solver_tol < np.inf:
@@ -95,14 +98,24 @@ class GeodesicSolution:
     iterations: int
 
 
-def _interior_residual(fields, dt, eps, grid):
-    """Residual, density, velocity gradient, and forcing at interior knots."""
-    rho = 1.0 + 0.5 * laplacian(fields, grid)
+@dataclass(frozen=True, eq=False)
+class _Linearization:
+    """Interior residual, its sup norm, all knot densities, grad udot and forcing."""
+
+    res: NDArray[np.float64]
+    norm: float
+    rho: NDArray[np.float64]
+    grad_udot: tuple[NDArray[np.float64], NDArray[np.float64]]
+    forcing: NDArray[np.float64]
+
+
+def _linearize(fields, rho, dt, eps, grid) -> _Linearization:
+    """Linearize the interior residual at a stack with positive densities rho."""
     udot, second = centered_differences(fields, dt)
     gx, gy = gradient(udot, grid)
     forcing = 0.5 * (gx * gx + gy * gy) + eps
     res = second - forcing / rho[1:-1]
-    return res, rho, gx, gy, forcing
+    return _Linearization(res, float(np.abs(res).max()), rho, (gx, gy), forcing)
 
 
 @lru_cache(maxsize=16)
@@ -123,7 +136,7 @@ def _sine_bases(m_int: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     return s, stacked
 
 
-def _newton_operators(dt, grid, rho, gx, gy, forcing):
+def _newton_operators(dt, grid, lin: _Linearization):
     """The right-preconditioned Jacobian J P^-1 and the preconditioner solve P^-1.
 
     J is the directional derivative of the interior residual,
@@ -138,17 +151,17 @@ def _newton_operators(dt, grid, rho, gx, gy, forcing):
     so one apply takes one forward transform of y and three inverse ones.
     The grid's Fourier symbols are exact for both schemes.
     """
-    m_int, n = forcing.shape[0], grid.n
-    rho_i = rho[1:-1]
+    m_int, n = lin.forcing.shape[0], grid.n
+    rho_i = lin.rho[1:-1]
     sym = fourier_symbols(grid)
     s, stacked = _sine_bases(m_int)
-    c = forcing / (2.0 * rho_i**2)
+    c = lin.forcing / (2.0 * rho_i**2)
     c_mean = float(np.mean(c))
     lam_t = (2.0 * np.cos(np.pi * np.arange(1, m_int + 1) / (m_int + 1)) - 2.0) / dt**2
     inv_denom = 1.0 / (lam_t[:, None, None] + c_mean * sym.lap)
     c_dev = c - c_mean
     # D in _sine_bases is undivided; its 1/(2 dt) is folded in here
-    ax, ay = gx / (2.0 * dt * rho_i), gy / (2.0 * dt * rho_i)
+    ax, ay = (g / (2.0 * dt * rho_i) for g in lin.grad_udot)
 
     def in_time(matrix, spec):
         """matrix applied along the knot axis of a half spectrum."""
@@ -191,23 +204,23 @@ def _default_initial(p: EpsGeodesicProblem) -> NDArray[np.float64]:
 def solve_epsilon_geodesic(
     p: EpsGeodesicProblem, initial: NDArray[np.float64] | None = None
 ) -> GeodesicSolution:
-    """Solve the two-point problem for epsilon > 0 by damped Newton iteration.
+    """Solve the two-point problem by damped Newton iteration.
 
     initial optionally warm-starts the iteration with a full, finite knot
-    stack (endpoints are overwritten with the problem data).
+    stack (endpoints are overwritten with the problem data) whose interior
+    densities are positive.
 
     Raises:
+        NotKahler: if the warm start has a non-positive interior density.
         NonConvergence: if the starting residual is not finite, 60 Newton
             steps leave the residual above tol, or a line search finds no
             admissible decrease.
-        PositivityLoss: if damping cannot keep an iterate admissible.
+        PositivityLoss: if even the shortest trial of a line search is
+            inadmissible, at that trial's smallest density.
     """
-    if p.epsilon <= 0:
-        raise ValueError("solve_epsilon_geodesic needs epsilon > 0")
     grid = p.grid
     m = p.time_steps
-    a, b = p.interval
-    dt = (b - a) / m
+    dt = (p.interval[1] - p.interval[0]) / m
     fields = np.array(initial, dtype=float) if initial is not None else _default_initial(p)
     if fields.shape != (m + 1, grid.n, grid.n):
         raise ValueError("initial guess must provide one field per knot")
@@ -215,50 +228,46 @@ def solve_epsilon_geodesic(
         raise ValueError("initial guess must be finite")
     fields[0] = p.endpoint_a.field
     fields[-1] = p.endpoint_b.field
+    rho = 1.0 + 0.5 * laplacian(fields, grid)
+    if not rho.min() > 0.0:
+        raise NotKahler(float(rho.min()))
 
-    res, rho, gx, gy, forcing = _interior_residual(fields, dt, p.epsilon, grid)
-    res_norm = float(np.abs(res).max())
-    if not np.isfinite(res_norm):
+    lin = _linearize(fields, rho, dt, p.epsilon, grid)
+    if not np.isfinite(lin.norm):
         # accepted trials only lower a finite norm, so only the start can get here
-        raise NonConvergence(0, res_norm)
+        raise NonConvergence(0, lin.norm)
     iterations = 0  # lgmres calls, one per Newton step
-    while res_norm > p.solver_tol:
+    while lin.norm > p.solver_tol:
         if iterations == _MAX_NEWTON_STEPS:
-            raise NonConvergence(iterations, res_norm)
+            raise NonConvergence(iterations, lin.norm)
         iterations += 1
-        op, precondition = _newton_operators(dt, grid, rho, gx, gy, forcing)
-        y, _ = lgmres(op, -res.ravel(), rtol=1e-4, atol=0.0, maxiter=40)
+        op, precondition = _newton_operators(dt, grid, lin)
+        y, _ = lgmres(op, -lin.res.ravel(), rtol=1e-4, atol=0.0, maxiter=40)
         step = precondition(y)
 
+        # rho is affine in alpha, so if the shortest trial is inadmissible all were
         alpha = 1.0
-        admissible = False
         for _ in range(_LINE_SEARCH_HALVINGS + 1):
             trial = fields.copy()
             trial[1:-1] += alpha * step
-            t_res, t_rho, t_gx, t_gy, t_forcing = _interior_residual(
-                trial, dt, p.epsilon, grid
-            )
             alpha *= 0.5
-            if float(t_rho.min()) <= 0.0:
-                worst = np.unravel_index(int(np.argmin(t_rho)), t_rho.shape)
-                continue
-            admissible = True
-            t_norm = float(np.abs(t_res).max())
-            if t_norm < res_norm:
-                fields = trial
-                res, rho, gx, gy, forcing = t_res, t_rho, t_gx, t_gy, t_forcing
-                res_norm = t_norm
-                break
+            rho = 1.0 + 0.5 * laplacian(trial, grid)
+            if rho.min() > 0.0:
+                t_lin = _linearize(trial, rho, dt, p.epsilon, grid)
+                if t_lin.norm < lin.norm:
+                    fields, lin = trial, t_lin
+                    break
         else:
-            if not admissible:
-                raise PositivityLoss(int(worst[0]), (int(worst[1]), int(worst[2])))
-            raise NonConvergence(iterations, res_norm)
+            if not rho.min() > 0.0:
+                knot, i, j = np.unravel_index(int(np.argmin(rho)), rho.shape)
+                raise PositivityLoss(int(knot), (int(i), int(j)))
+            raise NonConvergence(iterations, lin.norm)
 
     knots = [p.endpoint_a]
     knots.extend(make_potential(fields[i], grid) for i in range(1, m))
     knots.append(p.endpoint_b)
     path = PotentialPath(_frozen(p.times), tuple(knots), "solver-native")
-    return GeodesicSolution(path, res_norm, p.epsilon, iterations)
+    return GeodesicSolution(path, lin.norm, p.epsilon, iterations)
 
 
 def epsilon_continuation(
@@ -274,6 +283,8 @@ def epsilon_continuation(
     Stops once successive solutions differ by less than tol in sup norm;
     raises NonConvergence if 60 halvings leave the gap above tol.
     """
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be finite and positive")
     problem = EpsGeodesicProblem(u_a, u_b, interval, 1.0, time_steps, solver_tol)
     sols = [solve_epsilon_geodesic(problem)]
     for _ in range(_MAX_LEVELS):
@@ -334,20 +345,14 @@ def jacobi_field(
     given directions and returns the difference quotient stack.
 
     Raises:
-        PerturbationTooLarge: if a shifted endpoint leaves the admissible set.
+        NotKahler: if a shifted endpoint or a warm start is not admissible.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    grid = p.grid
+    if not 0 < delta < np.inf:
+        raise ValueError("delta must be finite and positive")
 
     def shifted(sign):
-        try:
-            ea = make_potential(p.endpoint_a.field + sign * delta * direction_a, grid)
-            eb = make_potential(p.endpoint_b.field + sign * delta * direction_b, grid)
-        except NotKahler as exc:
-            raise PerturbationTooLarge(
-                f"endpoint shift of size {delta:g} leaves the admissible set"
-            ) from exc
+        ea = make_potential(p.endpoint_a.field + sign * delta * direction_a, p.grid)
+        eb = make_potential(p.endpoint_b.field + sign * delta * direction_b, p.grid)
         return replace(p, endpoint_a=ea, endpoint_b=eb)
 
     base = _default_initial(p)

@@ -46,18 +46,19 @@ def sorted_merge_oracle(values, weights):
     return np.concatenate([[0.0], np.cumsum(widths)]), np.asarray(levels)
 
 
-def inadmissible_lgmres(n):
-    """Stand-in for scipy's lgmres whose Newton step no line-search halving makes admissible.
+def inadmissible_lgmres(n, amplitude=1e12):
+    """Stand-in for scipy's lgmres whose full Newton step is inadmissible.
 
     lgmres solves for the preconditioned unknown y, and the solver's Newton
-    step is P^-1 y.  This returns y = 1e12 cos(2 pi x) on every interior knot
-    of an n x n grid.  P^-1 keeps that single Fourier mode and scales it by a
-    negative profile in time, largest in size at the middle knot, so the step
-    is a positive multiple of -cos(2 pi x).  Even at the smallest step length
-    tried, 2**-30, the trial density goes negative where cos(2 pi x) < 0,
-    deepest at x = 1/2.
+    step is P^-1 y.  This returns y = amplitude cos(2 pi x) on every interior
+    knot of an n x n grid.  P^-1 keeps that single Fourier mode and scales it
+    by a negative profile in time, largest in size at the middle knot, so the
+    step is a positive multiple of -cos(2 pi x).  At the default amplitude,
+    even the smallest step length tried, 2**-30, leaves the trial density
+    negative where cos(2 pi x) < 0, deepest at x = 1/2; a small amplitude
+    makes only the longer trials inadmissible.
     """
-    row = 1e12 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    row = amplitude * np.cos(2.0 * np.pi * np.arange(n) / n)
 
     def solve(op, rhs, **kwargs):
         return np.resize(np.repeat(row, n), rhs.size), 0

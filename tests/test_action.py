@@ -1,5 +1,7 @@
 """Tests for path actions, least action, and the verification experiments."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,15 @@ class TestQueryValidation:
             LeastActionQuery(
                 constant_potential(g, 0.0), constant_potential(g, 1.0), 1.0, Power(1.0), tol=0.0
             )
+
+    @pytest.mark.parametrize("field", ["duration", "tol"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_scalars_rejected(self, field, bad):
+        g = Grid(8)
+        u, v = constant_potential(g, 0.0), constant_potential(g, 1.0)
+        q = LeastActionQuery(u, v, 1.0, Power(1.0))
+        with pytest.raises(ValueError, match=field):
+            replace(q, **{field: bad})
 
 
 class TestPathAction:
@@ -396,7 +407,7 @@ class TestCompetitorPaths:
         u = constant_potential(g, 0.0)
         with pytest.raises(ValueError):
             competitor_paths(u, u, 1.0, 1, seed=0, knot_budget=-1)
-        for duration in (0.0, -1.0):
+        for duration in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(ValueError, match="duration"):
                 competitor_paths(u, u, duration, 1, seed=0)
 

@@ -1,5 +1,6 @@
 """Tests for the regularized geodesic solver and its vanishing limit."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from helpers import inadmissible_lgmres, jacobian_oracle
 
 from mal import geodesics
 from mal.action import monotone_limit_check
-from mal.errors import NonConvergence, PerturbationTooLarge, PositivityLoss
+from mal.errors import NonConvergence, NotKahler, PositivityLoss
 from mal.fixtures import random_potential
 from mal.geodesics import (
     EpsGeodesicProblem,
@@ -22,12 +23,16 @@ from mal.geodesics import (
     time_convexity_margin,
     weak_geodesic,
 )
-from mal.grid import Grid, dx, dy, make_potential
+from mal.grid import Grid, dx, dy, laplacian, make_potential
 from mal.transport import PotentialPath, covariant_derivative
 
 
 def constant_potential(grid, value):
     return make_potential(np.full((grid.n, grid.n), value), grid)
+
+
+def no_krylov(op, rhs, **kwargs):
+    raise AssertionError("lgmres called")
 
 
 def scalar_epsilon_solution(lo, hi, times, eps):
@@ -49,6 +54,12 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="interval"):
             EpsGeodesicProblem(u, u, (1.0, 1.0), 1.0)
 
+    @pytest.mark.parametrize("interval", [(0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan)])
+    def test_non_finite_interval_rejected(self, interval):
+        u = constant_potential(Grid(8), 0.0)
+        with pytest.raises(ValueError, match="interval"):
+            EpsGeodesicProblem(u, u, interval, 1.0)
+
     def test_negative_epsilon(self):
         u = constant_potential(Grid(8), 0.0)
         with pytest.raises(ValueError, match="epsilon"):
@@ -68,11 +79,10 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="time steps"):
             EpsGeodesicProblem(u, u, (0.0, 1.0), 1.0, time_steps=1)
 
-    def test_zero_epsilon_rejected_by_solver(self):
+    def test_zero_epsilon_rejected(self):
         u = constant_potential(Grid(8), 0.0)
-        p = EpsGeodesicProblem(u, u, (0.0, 1.0), 0.0)
-        with pytest.raises(ValueError, match="epsilon > 0"):
-            solve_epsilon_geodesic(p)
+        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+            EpsGeodesicProblem(u, u, (0.0, 1.0), 0.0)
 
     def test_initial_guess_shape_validated(self):
         u = constant_potential(Grid(8), 0.0)
@@ -89,18 +99,32 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="finite"):
             solve_epsilon_geodesic(p, initial=initial)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_non_finite_residual_raises_before_krylov(self, monkeypatch):
-        # finite but so large that the squared velocity gradient overflows
-        def no_krylov(op, rhs, **kwargs):
-            raise AssertionError("lgmres called on a non-finite residual")
-
+    @pytest.mark.parametrize("amplitude", [0.2, 1e200])
+    def test_inadmissible_warm_start_rejected_before_krylov(self, monkeypatch, amplitude):
+        # interior densities 1 - 2 pi^2 amplitude cos(2 pi x) dip below zero
         monkeypatch.setattr(geodesics, "lgmres", no_krylov)
         g = Grid(8)
         u = constant_potential(g, 0.0)
         p = EpsGeodesicProblem(u, u, (0.0, 1.0), 1.0, time_steps=4)
         x, _ = g.coords()
-        initial = np.broadcast_to(1e200 * np.cos(2.0 * np.pi * x), (5, 8, 8))
+        initial = np.broadcast_to(amplitude * np.cos(2.0 * np.pi * x), (5, 8, 8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotKahler) as err:
+                solve_epsilon_geodesic(p, initial=initial)
+        want = 1.0 - 2.0 * np.pi**2 * amplitude
+        assert err.value.min_density == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_residual_raises_before_krylov(self, monkeypatch):
+        # admissible (spatially constant) but so large that the second time
+        # difference overflows
+        monkeypatch.setattr(geodesics, "lgmres", no_krylov)
+        g = Grid(8, "central")
+        u = constant_potential(g, 0.0)
+        p = EpsGeodesicProblem(u, u, (0.0, 1.0), 1.0, time_steps=16)
+        signs = np.resize([1.0, -1.0], 17)[:, None, None]
+        initial = np.broadcast_to(1e306 * signs, (17, 8, 8))
         with pytest.raises(NonConvergence) as err:
             solve_epsilon_geodesic(p, initial=initial)
         assert err.value.iterations == 0 and not np.isfinite(err.value.residual)
@@ -120,8 +144,9 @@ class TestNewtonOperators:
         lam = np.linspace(0.0, 1.0, time_steps + 1)[:, None, None]
         fields = (1.0 - lam) * a.field + lam * b.field + np.sin(np.pi * lam) * c.field
         dt, eps = 1.0 / time_steps, 0.3
-        _, rho, gx, gy, forcing = geodesics._interior_residual(fields, dt, eps, g)
-        op, precondition = geodesics._newton_operators(dt, g, rho, gx, gy, forcing)
+        rho = 1.0 + 0.5 * laplacian(fields, g)
+        lin = geodesics._linearize(fields, rho, dt, eps, g)
+        op, precondition = geodesics._newton_operators(dt, g, lin)
         jacobian, precond, precond_solve = jacobian_oracle(fields, dt, g, eps)
         y = rng.standard_normal((time_steps - 1, n, n))
         want = jacobian(precond_solve(y))
@@ -266,6 +291,18 @@ class TestGenericSolves:
             solve_epsilon_geodesic(p)
         assert err.value.iterations == 1 and err.value.residual > p.solver_tol
 
+    def test_inadmissible_long_steps_without_decrease_raise_nonconvergence(self, monkeypatch):
+        # the step is inadmissible at alpha = 1 and admissible once halved
+        # far enough, where it only adds a cos(2 pi x) mode to the constant
+        # residual -epsilon of the zero warm start
+        monkeypatch.setattr(geodesics, "lgmres", inadmissible_lgmres(8, amplitude=1e3))
+        g = Grid(8)
+        u = constant_potential(g, 0.0)
+        p = EpsGeodesicProblem(u, u, (0.0, 1.0), 1.0, time_steps=8)
+        with pytest.raises(NonConvergence) as err:
+            solve_epsilon_geodesic(p, initial=np.zeros((9, 8, 8)))
+        assert err.value.iterations == 1 and err.value.residual == 1.0
+
     def test_positivity_loss_when_no_halving_is_admissible(self, monkeypatch):
         monkeypatch.setattr(geodesics, "lgmres", inadmissible_lgmres(16))
         g = Grid(16)
@@ -402,6 +439,14 @@ class TestContinuation:
         assert time_convexity_margin(path) >= -1e-6
         assert np.max(np.abs(hcma_residual(path))) < 1e-3
 
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0])
+    def test_tol_validated(self, tol):
+        g = Grid(8)
+        with pytest.raises(ValueError, match="tol"):
+            epsilon_continuation(
+                constant_potential(g, 0.0), constant_potential(g, 1.0), tol=tol, time_steps=4
+            )
+
     def test_running_out_of_levels_reported(self, monkeypatch):
         monkeypatch.setattr(geodesics, "_MAX_LEVELS", 1)
         g = Grid(8)
@@ -467,10 +512,10 @@ class TestJacobiFields:
         )
         x, _ = g.coords()
         rough = np.cos(2.0 * np.pi * 3 * x)
-        with pytest.raises(PerturbationTooLarge):
+        with pytest.raises(NotKahler):
             jacobi_field(p, rough, rough, delta=0.5)
 
-    @pytest.mark.parametrize("delta", [0.0, -1e-3])
+    @pytest.mark.parametrize("delta", [0.0, -1e-3, np.nan, np.inf])
     def test_delta_validated(self, delta):
         u = constant_potential(Grid(8), 0.0)
         p = EpsGeodesicProblem(u, u, (0.0, 1.0), 1.0, time_steps=4)
