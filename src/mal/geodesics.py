@@ -11,8 +11,10 @@ Newton system J s = -res is right-preconditioned by a constant-coefficient
 space-time operator P that sine (time) and Fourier (space) transforms
 diagonalize: a Krylov method solves J P^-1 y = -res, one operator applied in
 sine x Fourier coefficients with one forward transform, and the step is
-s = P^-1 y.  Weak geodesics arise as warm-started continuation limits along a
-halving epsilon schedule.
+s = P^-1 y.  Krylov starts at the preconditioned step y0 = -res, and its
+relative tolerance loosens near the solution, so no solve is pushed far below
+solver_tol.  Weak geodesics arise as continuation limits along a halving
+epsilon schedule, each level warm-started by a secant predictor in epsilon.
 
 Every iterate is admissible: a warm start needs positive interior densities,
 and the line search halves the step until a trial is admissible and lowers the
@@ -52,6 +54,12 @@ from .transport import PotentialPath, centered_differences, covariant_derivative
 _LINE_SEARCH_HALVINGS = 30
 _MAX_LEVELS = 60
 _MAX_NEWTON_STEPS = 60
+# Krylov forcing term: rtol = clip(_FORCING * solver_tol / |res|_sup, _RTOL_MIN,
+# _RTOL_MAX).  The factor sits below Kelley's 0.5 because the Newton stop test
+# takes the sup norm of the residual and lgmres the 2-norm.
+_FORCING = 0.1
+_RTOL_MIN = 1e-4
+_RTOL_MAX = 0.1
 
 
 @dataclass(frozen=True)
@@ -210,6 +218,12 @@ def solve_epsilon_geodesic(
     stack (endpoints are overwritten with the problem data) whose interior
     densities are positive.
 
+    Each Newton step solves J P^-1 y = -res by lgmres started at y0 = -res,
+    i.e. at the preconditioned step P^-1(-res), so no apply sees the zero
+    vector.  Its relative tolerance is 1e-4 far from the solution and looser
+    near it, 0.1 solver_tol / |res|_sup capped at 0.1, so the last step of a
+    solve is not solved past what solver_tol asks.
+
     Raises:
         NotKahler: if the warm start has a non-positive interior density.
         NonConvergence: if the starting residual is not finite, 60 Newton
@@ -242,7 +256,8 @@ def solve_epsilon_geodesic(
             raise NonConvergence(iterations, lin.norm)
         iterations += 1
         op, precondition = _newton_operators(dt, grid, lin)
-        y, _ = lgmres(op, -lin.res.ravel(), rtol=1e-4, atol=0.0, maxiter=40)
+        rtol = min(_RTOL_MAX, max(_RTOL_MIN, _FORCING * p.solver_tol / lin.norm))
+        y, _ = lgmres(op, -lin.res.ravel(), x0="Mb", rtol=rtol, atol=0.0, maxiter=40)
         step = precondition(y)
 
         # rho is affine in alpha, so if the shortest trial is inadmissible all were
@@ -280,6 +295,11 @@ def epsilon_continuation(
 ) -> list[GeodesicSolution]:
     """Warm-started solves along the halving schedule epsilon = 1, 1/2, 1/4, ...
 
+    Level 1 starts from level 0's path.  From level 2 on, a secant predictor
+    extrapolates the last two paths linearly in epsilon, u_k + (u_k - u_{k-1})/2
+    on the halving schedule, and falls back to u_k when that guess has a
+    non-positive interior density.
+
     Stops once successive solutions differ by less than tol in sup norm;
     raises NonConvergence if 60 halvings leave the gap above tol.
     """
@@ -289,12 +309,23 @@ def epsilon_continuation(
     sols = [solve_epsilon_geodesic(problem)]
     for _ in range(_MAX_LEVELS):
         problem = replace(problem, epsilon=problem.epsilon / 2.0)
-        nxt = solve_epsilon_geodesic(problem, initial=sols[-1].path.fields)
+        nxt = solve_epsilon_geodesic(problem, initial=_secant_start(sols))
         gap = sup_distance(nxt.path, sols[-1].path)
         sols.append(nxt)
         if gap < tol:
             return sols
     raise NonConvergence(_MAX_LEVELS, gap)
+
+
+def _secant_start(sols: list[GeodesicSolution]) -> NDArray[np.float64]:
+    """Warm start for the next halving level: the secant guess if admissible, else u_k."""
+    last = sols[-1].path.fields
+    if len(sols) < 2:
+        return last
+    guess = last + 0.5 * (last - sols[-2].path.fields)
+    if (1.0 + 0.5 * laplacian(guess[1:-1], sols[-1].path.grid)).min() > 0.0:
+        return guess
+    return last
 
 
 def weak_geodesic(
@@ -324,6 +355,8 @@ def hcma_residual(path: PotentialPath) -> NDArray[np.float64]:
 
 def time_convexity_margin(path: PotentialPath) -> float:
     """Min over interior knots and cells of the second time difference."""
+    if len(path.knots) < 3:
+        raise ValueError("need at least three knots")
     _, second = centered_differences(path.fields, path.uniform_step)
     return float(second.min())
 

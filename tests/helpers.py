@@ -1,8 +1,10 @@
 """Shared generators and oracles for tests: exact-arithmetic weighted sets, small
-fields, a stand-in Krylov solver and the Newton operators composed from stencils."""
+fields, stand-in and recording Krylov solvers and the Newton operators composed
+from stencils."""
 
 import numpy as np
 import scipy.fft
+from scipy.sparse.linalg import LinearOperator
 
 from mal.grid import fourier_symbols, gradient, laplacian
 from mal.transport import centered_differences
@@ -62,6 +64,26 @@ def inadmissible_lgmres(n, amplitude=1e12):
 
     def solve(op, rhs, **kwargs):
         return np.resize(np.repeat(row, n), rhs.size), 0
+
+    return solve
+
+
+def recording_lgmres(lgmres, calls):
+    """Wrap lgmres so that each call appends one list of operator applies to calls.
+
+    Each apply is recorded as the pair (its input equals the right-hand side,
+    its input is nonzero), in order.
+    """
+
+    def solve(op, rhs, **kwargs):
+        applies = []
+        calls.append(applies)
+
+        def matvec(x):
+            applies.append((np.array_equal(np.ravel(x), rhs), bool(np.any(x))))
+            return op.matvec(x)
+
+        return lgmres(LinearOperator(op.shape, matvec=matvec, dtype=op.dtype), rhs, **kwargs)
 
     return solve
 

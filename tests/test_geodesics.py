@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import inadmissible_lgmres, jacobian_oracle
+from helpers import inadmissible_lgmres, jacobian_oracle, recording_lgmres
 
 from mal import geodesics
 from mal.action import monotone_limit_check
@@ -14,6 +14,7 @@ from mal.errors import NonConvergence, NotKahler, PositivityLoss
 from mal.fixtures import random_potential
 from mal.geodesics import (
     EpsGeodesicProblem,
+    GeodesicSolution,
     epsilon_continuation,
     hcma_residual,
     jacobi_field,
@@ -24,7 +25,7 @@ from mal.geodesics import (
     weak_geodesic,
 )
 from mal.grid import Grid, dx, dy, laplacian, make_potential
-from mal.transport import PotentialPath, covariant_derivative
+from mal.transport import PotentialPath, covariant_derivative, linear_path
 
 
 def constant_potential(grid, value):
@@ -155,6 +156,21 @@ class TestNewtonOperators:
         w = precondition(y.ravel())
         assert np.abs(precond(w) - y).max() <= 1e-12 * np.abs(y).max()
 
+    def test_krylov_starts_at_the_preconditioned_step(self, monkeypatch):
+        """Each lgmres call first applies J P^-1 to b = -res, and no apply sees zero."""
+        calls = []
+        monkeypatch.setattr(geodesics, "lgmres", recording_lgmres(geodesics.lgmres, calls))
+        g = Grid(16)
+        rng = np.random.default_rng(15)
+        p = EpsGeodesicProblem(
+            random_potential(g, rng), random_potential(g, rng), (0.0, 1.0), 1.0, time_steps=8
+        )
+        sol = solve_epsilon_geodesic(p)
+        assert len(calls) == sol.iterations >= 2
+        for applies in calls:
+            assert applies[0][0]
+            assert all(nonzero for _, nonzero in applies)
+
 
 class TestConstantEndpoints:
     @pytest.mark.parametrize("eps", [1.0, 0.1])
@@ -233,6 +249,11 @@ class TestGenericSolves:
         )
         sol = solve_epsilon_geodesic(p)
         assert time_convexity_margin(sol.path) >= -1e-10
+
+    def test_time_convexity_needs_three_knots(self):
+        u = constant_potential(Grid(8), 0.0)
+        with pytest.raises(ValueError, match="need at least three knots"):
+            time_convexity_margin(linear_path(u, u, 0.0, 1.0, 1))
 
     def test_deterministic(self):
         g = Grid(16)
@@ -438,6 +459,51 @@ class TestContinuation:
         assert path.knots[-1] is u_b
         assert time_convexity_margin(path) >= -1e-6
         assert np.max(np.abs(hcma_residual(path))) < 1e-3
+
+    # J P^-1 applies of the README continuation, measured on a 2-core x86 host;
+    # the bound allows 10 % more (the previous solver made 349 and 316)
+    README_MATVECS = {"spectral": 243, "central": 219}
+
+    def test_readme_work_budget(self, monkeypatch, scheme):
+        calls = []
+        monkeypatch.setattr(geodesics, "lgmres", recording_lgmres(geodesics.lgmres, calls))
+        g = Grid(32, scheme)
+        rng = np.random.default_rng(5)
+        u_a, u_b = (random_potential(g, rng, amplitude=0.02, max_mode=2) for _ in range(2))
+        sols = epsilon_continuation(u_a, u_b, (0.0, 1.0), tol=1e-5, time_steps=32)
+        assert len(sols) == 16
+        assert sum(s.iterations for s in sols) <= 36
+        assert all(s.residual_norm <= 1e-8 for s in sols)
+        assert sum(map(len, calls)) <= 1.1 * self.README_MATVECS[scheme]
+
+    @pytest.mark.parametrize("amplitude, factor", [(0.01, 1.5), (0.04, 1.0)])
+    def test_secant_warm_start(self, monkeypatch, amplitude, factor):
+        """Level 2 starts from u_1 + (u_1 - u_0)/2 when admissible, else from u_1.
+
+        The scripted levels are u_0 = 0 and u_1 = a cos(2 pi x) on the interior
+        knots, with density 1 - 2 pi^2 a cos(2 pi x); at a = 0.04 the guess
+        1.5 u_1 has minimum density 1 - 3 pi^2 a < 0.
+        """
+        g = Grid(8)
+        zero = constant_potential(g, 0.0)
+        u0 = np.zeros((5, 8, 8))
+        u1 = u0.copy()
+        u1[1:-1] = amplitude * np.cos(2.0 * np.pi * np.arange(8) / 8)[:, None]
+        levels = [u0, u1, u1]
+        initials = []
+
+        def scripted(p, initial=None):
+            initials.append(initial)
+            fields = levels[len(initials) - 1]
+            knots = tuple(make_potential(f, g) for f in fields)
+            return GeodesicSolution(PotentialPath(p.times, knots, "solver-native"), 0.0, p.epsilon, 0)
+
+        monkeypatch.setattr(geodesics, "solve_epsilon_geodesic", scripted)
+        sols = epsilon_continuation(zero, zero, tol=1e-6, time_steps=4)
+        assert len(sols) == 3
+        assert initials[0] is None
+        assert np.array_equal(initials[1], u0)
+        assert np.array_equal(initials[2], factor * u1)
 
     @pytest.mark.parametrize("tol", [np.inf, np.nan, 0.0])
     def test_tol_validated(self, tol):
