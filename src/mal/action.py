@@ -7,9 +7,10 @@ linear in the measure, and second order otherwise, matching the solver.
 
 Least action between two potentials is computed through the connecting weak
 geodesic: along such a path the action realizes the infimum over piecewise C1
-competitors, which turns the minimization into a solve.  Randomized
-piecewise-linear competitor paths act as upper-bound witnesses in the
-verification experiments, never as the estimator; one set is drawn per
+competitors, which turns the minimization into a solve.  A LeastActionQuery
+owns that solve, made on first use and shared by every Lagrangian asked of
+it.  Randomized piecewise-linear competitor paths act as upper-bound witnesses
+in the verification experiments, never as the estimator; one set is drawn per
 endpoint pair and seed and shared by the Lagrangians checked against it.
 
 The verification operations return the VerificationReport of
@@ -27,6 +28,7 @@ control in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -70,6 +72,13 @@ class LeastActionQuery:
         if not 0.0 < self.tol < np.inf:
             raise ValueError("tol must be finite and positive")
 
+    @cached_property
+    def geodesic(self) -> PotentialPath:
+        """The weak geodesic from start to end over [0, duration], solved once."""
+        return weak_geodesic(
+            self.start, self.end, (0.0, self.duration), self.tol, self.time_steps, self.solver_tol
+        )
+
 
 def path_action(spec: LagrangianSpec, path: PotentialPath) -> float:
     """Composite midpoint quadrature of t -> L(udot(t)) along a path.
@@ -90,21 +99,18 @@ def path_action(spec: LagrangianSpec, path: PotentialPath) -> float:
     ]))
 
 
-def least_action(q: LeastActionQuery, geodesic: PotentialPath | None = None) -> float:
+def least_action(q: LeastActionQuery) -> float:
     """Least action between two potentials, realized on the weak geodesic.
 
     The infimum over piecewise C1 paths is attained on the weak geodesic
     between the query endpoints over [0, duration], so the value is the
-    action of that single path.  A precomputed connecting geodesic may be
-    supplied to share one solve across several Lagrangians; it is trusted to
-    connect the query endpoints.
+    action of that single path, q.geodesic.
     """
-    if geodesic is None:
-        geodesic = weak_geodesic(
-            q.start, q.end, (0.0, q.duration), q.tol, q.time_steps, q.solver_tol
-        )
-    return path_action(q.spec, geodesic)
+    return path_action(q.spec, q.geodesic)
 
+
+_KNOT_BUDGET = 4  # interior knots per competitor path
+_AMPLITUDE = 0.05  # first amplitude of a competitor knot draw
 
 # The last competitor set drawn: its competitor_paths key and, per path, the
 # knot times and the interior knots.  One slot, so it holds one set at most.
@@ -117,8 +123,8 @@ def competitor_paths(
     duration: float,
     count: int,
     seed: int,
-    knot_budget: int = 4,
-    amplitude: float = 0.05,
+    knot_budget: int = _KNOT_BUDGET,
+    amplitude: float = _AMPLITUDE,
 ) -> list[PotentialPath]:
     """Random admissible piecewise-linear paths between fixed endpoints.
 
@@ -218,9 +224,14 @@ def verify_least_action(
     interior knots and amplitude 0.05; the margin distribution is recorded.
     The tolerance absorbs the time discretization and continuation gap of the
     geodesic action, and the second-order quadrature error of Lagrangians
-    not linear in the measure.
+    not linear in the measure.  geodesic defaults to q.geodesic; a ValueError
+    rejects a given one whose end knot fields differ from q.start and q.end.
     """
-    g_action = least_action(q, geodesic)
+    geodesic = q.geodesic if geodesic is None else geodesic
+    for knot, end in ((geodesic.knots[0], q.start), (geodesic.knots[-1], q.end)):
+        if not np.array_equal(knot.field, end.field):
+            raise ValueError("geodesic must join the query endpoints")
+    g_action = path_action(q.spec, geodesic)
     paths = competitor_paths(q.start, q.end, q.duration, count, seed)
     # each path is dropped once measured, so its cached stacks do not pile up
     margins = [path_action(q.spec, paths.pop(0)) - g_action for _ in range(count)]
@@ -232,8 +243,8 @@ def verify_least_action(
         {
             "seed": seed,
             "count": count,
-            "knot_budget": 4,
-            "amplitude": 0.05,
+            "knot_budget": _KNOT_BUDGET,
+            "amplitude": _AMPLITUDE,
             "n": q.start.grid.n,
             "scheme": q.start.grid.scheme,
             "time_steps": q.time_steps,
@@ -432,7 +443,6 @@ def verify_least_action_continuity(
     start_seq: Sequence[Potential],
     end_seq: Sequence[Potential],
     tol: float = 5e-3,
-    geodesic: PotentialPath | None = None,
 ) -> VerificationReport:
     """Continuity of least action under decreasing endpoint approximation.
 
@@ -440,12 +450,12 @@ def verify_least_action_continuity(
     sequences, which must decrease pointwise to the limits from above.  The
     violation measure is the larger of the final discrepancy
     |value_last - limit value| and the net increase of the discrepancy over
-    the sequence, so a tail that grows fails even when it ends small.  A
-    precomputed weak geodesic between the limits may be supplied for the
-    limit value, as in least_action.
+    the sequence, so a tail that grows fails even when it ends small.  The
+    limit value is taken on q.geodesic, so a query whose geodesic is already
+    solved does not solve it again.
     """
     require_decreasing_to(start_seq, end_seq, q.start, q.end)
-    limit_value = least_action(q, geodesic)
+    limit_value = least_action(q)
     discrepancies = [
         abs(least_action(replace(q, start=a, end=b)) - limit_value)
         for a, b in zip(start_seq, end_seq)

@@ -50,7 +50,6 @@ from .geodesics import (
     epsilon_continuation,
     hcma_residual,
     solve_epsilon_geodesic,
-    weak_geodesic,
 )
 from .grid import SCHEMES, Grid, Potential, make_potential
 from .lagrangians import (
@@ -325,11 +324,6 @@ class VerifyRun:
         )
 
     @cached_property
-    def geodesic(self) -> PotentialPath:
-        q = self.query
-        return weak_geodesic(q.start, q.end, (0.0, q.duration), q.tol, q.time_steps, q.solver_tol)
-
-    @cached_property
     def detour(self) -> PotentialPath:
         """Piecewise-linear detour through a bumped midpoint, never a geodesic."""
         g = self.cfg.grid
@@ -347,7 +341,7 @@ class VerifyRun:
 def _noether(run: VerifyRun) -> tuple[VerificationReport, VerificationReport]:
     spec = run.cfg.lagrangian
     return (
-        verify_noether(spec, run.geodesic, run.cfg.tolerance),
+        verify_noether(spec, run.query.geodesic, run.cfg.tolerance),
         verify_noether(spec, run.detour, tol=1e-6),
     )
 
@@ -356,7 +350,7 @@ def _least_action(run: VerifyRun) -> tuple[VerificationReport, VerificationRepor
     cfg = run.cfg
     return tuple(
         verify_least_action(run.query, cfg.count, cfg.seed, cfg.tolerance, geodesic=path)
-        for path in (run.geodesic, run.detour)
+        for path in (run.query.geodesic, run.detour)
     )
 
 
@@ -403,19 +397,19 @@ def _jacobi_convexity(run: VerifyRun) -> tuple[VerificationReport, VerificationR
 def _action_convexity(run: VerifyRun) -> tuple[VerificationReport, VerificationReport]:
     cfg = run.cfg
     rng = np.random.default_rng(cfg.seed + 1)
-    v_path = weak_geodesic(
-        random_potential(cfg.grid, rng, amplitude=0.02),
-        random_potential(cfg.grid, rng, amplitude=0.02),
-        (0.0, cfg.duration), cfg.continuation_tol, cfg.time_steps, cfg.solver_tol,
-    )
+    v_path = replace(
+        run.query,
+        start=random_potential(cfg.grid, rng, amplitude=0.02),
+        end=random_potential(cfg.grid, rng, amplitude=0.02),
+    ).geodesic
     stride = max(1, cfg.time_steps // 8)
     report = verify_action_convexity(
         replace(run.query, end=v_path.knots[0], time_steps=max(8, cfg.time_steps // 2)),
-        run.geodesic, v_path, stride, cfg.tolerance,
+        run.query.geodesic, v_path, stride, cfg.tolerance,
     )
     # vacuity guard: a synthetic concave sequence at the same sample
     # times must register a violation of the expected h^2 size
-    s = run.geodesic.times[::stride]
+    s = run.query.geodesic.times[::stride]
     margin = midpoint_excess(-((s - s.mean()) ** 2))
     h = float(s[1] - s[0])
     return report, VerificationReport(report.experiment, margin, 0.5 * h * h, {"margin": margin})
@@ -427,7 +421,7 @@ def _continuity(run: VerifyRun) -> tuple[VerificationReport, VerificationReport]
     seq_b = [make_potential(run.end.field + s, cfg.grid) for s in shifts]
 
     def converges(seq_a):
-        return verify_least_action_continuity(run.query, seq_a, seq_b, cfg.tolerance, run.geodesic)
+        return verify_least_action_continuity(run.query, seq_a, seq_b, cfg.tolerance)
 
     return (
         converges([make_potential(run.start.field + s, cfg.grid) for s in shifts]),

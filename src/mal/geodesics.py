@@ -18,7 +18,8 @@ epsilon schedule, each level warm-started by a secant predictor in epsilon.
 
 Every iterate is admissible: a warm start needs positive interior densities,
 and the line search halves the step until a trial is admissible and lowers the
-sup residual.
+sup residual.  Every density comes from grid.ma_density, and the solved path
+is the last iterate with the densities computed for it, none recomputed.
 
 Jacobi fields along an epsilon-geodesic are central differences of
 endpoint-perturbed solution families; the second-order Jacobi equation then
@@ -45,7 +46,7 @@ from .grid import (
     dy,
     fourier_symbols,
     gradient,
-    laplacian,
+    ma_density,
     make_potential,
     poisson_bracket,
 )
@@ -242,7 +243,7 @@ def solve_epsilon_geodesic(
         raise ValueError("initial guess must be finite")
     fields[0] = p.endpoint_a.field
     fields[-1] = p.endpoint_b.field
-    rho = 1.0 + 0.5 * laplacian(fields, grid)
+    rho = ma_density(fields, grid)
     if not rho.min() > 0.0:
         raise NotKahler(float(rho.min()))
 
@@ -266,7 +267,7 @@ def solve_epsilon_geodesic(
             trial = fields.copy()
             trial[1:-1] += alpha * step
             alpha *= 0.5
-            rho = 1.0 + 0.5 * laplacian(trial, grid)
+            rho = ma_density(trial, grid)
             if rho.min() > 0.0:
                 t_lin = _linearize(trial, rho, dt, p.epsilon, grid)
                 if t_lin.norm < lin.norm:
@@ -278,10 +279,9 @@ def solve_epsilon_geodesic(
                 raise PositivityLoss(int(knot), (int(i), int(j)))
             raise NonConvergence(iterations, lin.norm)
 
-    knots = [p.endpoint_a]
-    knots.extend(make_potential(fields[i], grid) for i in range(1, m))
-    knots.append(p.endpoint_b)
-    path = PotentialPath(_frozen(p.times), tuple(knots), "solver-native")
+    # each knot copies its slice of the accepted iterate and of its densities
+    knots = (Potential(grid, _frozen(fields[i]), _frozen(lin.rho[i])) for i in range(1, m))
+    path = PotentialPath(_frozen(p.times), (p.endpoint_a, *knots, p.endpoint_b), "solver-native")
     return GeodesicSolution(path, lin.norm, p.epsilon, iterations)
 
 
@@ -323,7 +323,7 @@ def _secant_start(sols: list[GeodesicSolution]) -> NDArray[np.float64]:
     if len(sols) < 2:
         return last
     guess = last + 0.5 * (last - sols[-2].path.fields)
-    if (1.0 + 0.5 * laplacian(guess[1:-1], sols[-1].path.grid)).min() > 0.0:
+    if ma_density(guess[1:-1], sols[-1].path.grid).min() > 0.0:
         return guess
     return last
 
@@ -337,8 +337,7 @@ def weak_geodesic(
     solver_tol: float = 1e-8,
 ) -> PotentialPath:
     """Vanishing-regularization limit path between two admissible potentials."""
-    sols = epsilon_continuation(u_a, u_b, interval, tol, time_steps, solver_tol)
-    return sols[-1].path
+    return epsilon_continuation(u_a, u_b, interval, tol, time_steps, solver_tol)[-1].path
 
 
 def hcma_residual(path: PotentialPath) -> NDArray[np.float64]:

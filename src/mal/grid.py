@@ -158,9 +158,10 @@ def _frozen(a: NDArray) -> NDArray:
 class Potential:
     """Admissible potential: field together with its positive MA density.
 
-    Construct through make_potential, which computes the density; fields or
-    densities that are not finite, or densities not positive everywhere, are
-    rejected here.
+    Construct through make_potential, which computes the density, or, as the
+    geodesic solver does for its knots, from a density already computed with
+    ma_density; fields or densities that are not finite, or densities not
+    positive everywhere, are rejected here.
     """
 
     grid: Grid

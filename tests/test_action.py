@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mal import action
+from mal import action, geodesics
 from mal.action import (
     LeastActionQuery,
     _admissible,
@@ -250,7 +250,9 @@ class TestLeastAction:
             constant_potential(g, 0.0), constant_potential(g, 0.5), 1.0, Power(1.0), time_steps=8
         )
         geo = weak_geodesic(q.start, q.end, (0.0, q.duration), q.tol, q.time_steps)
-        assert least_action(q, geodesic=geo) == least_action(q)
+        assert q.geodesic is q.geodesic
+        assert np.array_equal(q.geodesic.fields, geo.fields)
+        assert least_action(q) == path_action(q.spec, geo)
 
 
 class TestCompetitorPaths:
@@ -474,6 +476,14 @@ class TestVerifyLeastAction:
         reused = verify_least_action(q, count=4, seed=0, geodesic=geo)
         assert direct.worst == reused.worst
         assert direct.provenance["margins"] == reused.provenance["margins"]
+
+    def test_geodesic_between_other_endpoints_rejected(self):
+        g = Grid(8)
+        u_a, u_b, u_c = (constant_potential(g, v) for v in (0.0, 1.0, 0.5))
+        q = LeastActionQuery(u_a, u_b, 1.0, Power(1.0), time_steps=8)
+        for wrong in (linear_path(u_a, u_c, 0.0, 1.0, 4), linear_path(u_c, u_b, 0.0, 1.0, 4)):
+            with pytest.raises(ValueError, match="endpoints"):
+                verify_least_action(q, count=2, geodesic=wrong)
 
     @pytest.mark.parametrize("scheme", ["spectral", "central"])
     @pytest.mark.parametrize("n", [4, 8])
@@ -728,6 +738,27 @@ class TestLeastActionContinuity:
         assert report.passed
         disc = report.provenance["discrepancies"]
         assert disc[0] > disc[1] > disc[2]
+
+    def test_limit_geodesic_solved_once(self, monkeypatch):
+        g = Grid(8)
+        u_a = constant_potential(g, 0.0)
+        u_b = constant_potential(g, 0.6)
+        continuation = geodesics.epsilon_continuation
+        limit_solves = []
+
+        def spy(a, b, *args, **kwargs):
+            if a is u_a and b is u_b:
+                limit_solves.append(args)
+            return continuation(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(geodesics, "epsilon_continuation", spy)
+        q = LeastActionQuery(u_a, u_b, 1.0, Power(1.0), tol=1e-5, time_steps=8)
+        value = least_action(q)
+        assert least_action(q) == value
+        seq_a = [make_potential(u_a.field + s, g) for s in (0.1, 0.05)]
+        report = verify_least_action_continuity(q, seq_a, [u_b] * 2)
+        assert report.provenance["limit_value"] == value
+        assert len(limit_solves) == 1
 
     def test_non_decreasing_sequence_rejected(self):
         g = Grid(8)

@@ -230,6 +230,27 @@ class TestGenericSolves:
         rho_max = max(float(k.density.max()) for k in sol.path.knots)
         assert np.max(np.abs(c - eps)) <= p.solver_tol * (1.0 + rho_max)
 
+    def test_knots_keep_the_solver_densities(self, monkeypatch, scheme):
+        """Interior knots carry the last iterate's densities, each in its own frozen copy."""
+        g = Grid(16, scheme)
+        rng = np.random.default_rng(15)
+        p = EpsGeodesicProblem(
+            random_potential(g, rng), random_potential(g, rng), (0.0, 1.0), 0.5, time_steps=8
+        )
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return make_potential(*args, **kwargs)
+
+        monkeypatch.setattr(geodesics, "make_potential", counting)
+        sol = solve_epsilon_geodesic(p)
+        assert not calls
+        for knot in sol.path.knots[1:-1]:
+            assert np.array_equal(knot.density, make_potential(knot.field, g).density)
+            assert knot.field.base is None and knot.density.base is None
+            assert not knot.density.flags.writeable
+
     def test_time_reversal_symmetry(self, scheme):
         g = Grid(16, scheme)
         rng = np.random.default_rng(9)
