@@ -279,7 +279,7 @@ def solve_epsilon_geodesic(
                 raise PositivityLoss(int(knot), (int(i), int(j)))
             raise NonConvergence(iterations, lin.norm)
 
-    # each knot copies its slice of the accepted iterate and of its densities
+    # one copy per knot: views into the stacks would keep both stacks alive
     knots = (Potential(grid, _frozen(fields[i]), _frozen(lin.rho[i])) for i in range(1, m))
     path = PotentialPath(_frozen(p.times), (p.endpoint_a, *knots, p.endpoint_b), "solver-native")
     return GeodesicSolution(path, lin.norm, p.epsilon, iterations)
