@@ -421,19 +421,18 @@ def jacobi_residual(sol: GeodesicSolution, xi: NDArray[np.float64]) -> float:
     if m < 4:
         raise ValueError("need at least four time intervals")
     g = path.grid
-    second = covariant_derivative(path, covariant_derivative(path, xi))[2 : m - 1]
-    udot = path.knot_velocity[2 : m - 1]
+    knots = slice(max((m + 2) // 3, 2), min((2 * m) // 3, m - 2) + 1)
+    second = covariant_derivative(path, covariant_derivative(path, xi))[knots]
+    udot = path.knot_velocity[knots]
     bracket = np.empty_like(second)
     div_term = np.empty_like(second)
-    for j, i in enumerate(range(2, m - 1)):
+    for j, i in enumerate(range(knots.start, knots.stop)):
         u = path.knots[i]
         inner = poisson_bracket(u, udot[j], xi[i])
         bracket[j] = poisson_bracket(u, inner, udot[j])
         xx, xy = gradient(xi[i], g)
         f = 1.0 / u.density
         div_term[j] = dx(f * xx, g) + dy(f * xy, g)
-    rho = path.densities[2 : m - 1]
+    rho = path.densities[knots]
     residual = rho * second - 0.25 * bracket * rho + 0.5 * sol.epsilon * div_term
-    lo = max((m + 2) // 3, 2)
-    hi = min((2 * m) // 3, m - 2)
-    return float(np.abs(residual[lo - 2 : hi - 1]).max())
+    return float(np.abs(residual).max())

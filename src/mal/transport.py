@@ -5,7 +5,8 @@ field -(1/2) grad_{u(t)} udot(t); the resulting maps are symplectomorphisms
 (X, omega_{u(0)}) -> (X, omega_{u(t)}) up to discretization, which the
 pullback-density identity rho_{u(t)}(phi(x)) J(x) = rho_{u(0)}(x) quantifies.
 Hamiltonian flows integrate sgrad zeta = (-zeta_y, zeta_x)/rho_u for the
-symplectic form of a fixed potential.
+symplectic form of a fixed potential; the k-step composition scheme carries
+the particles through its k frozen-time legs in one integrator pass.
 
 Every vector field here (displacements, particle positions, velocities) is
 one array whose first axis of length 2 holds the x and y components.
@@ -28,6 +29,7 @@ from .errors import NonConvergence, StepUnstable
 from .grid import Grid, GridField, Potential, _frozen, gradient, make_potential
 
 INTERPOLATIONS = ("piecewise-linear", "solver-native")
+_SUBSTEPS_PER_LEG = 8
 
 
 def bilinear_periodic(field: NDArray, p: NDArray, n: int) -> NDArray:
@@ -73,8 +75,8 @@ class TransportMap:
     jacobian: GridField
 
     def __post_init__(self):
-        if float(self.jacobian.min()) <= 0.0:
-            raise ValueError("transport map must preserve orientation: jacobian > 0")
+        if not ((self.jacobian > 0.0) & np.isfinite(self.jacobian)).all():
+            raise ValueError("transport map must preserve orientation: finite jacobian > 0")
 
     def forward(self) -> NDArray[np.float64]:
         return np.mod(np.stack(self.grid.coords()) + self.disp, 1.0)
@@ -97,8 +99,6 @@ class TransportMap:
 
 def compose(after: TransportMap, before: TransportMap) -> TransportMap:
     """Map doing `before` first, then `after` (displacements interpolated)."""
-    if before.is_identity:
-        return after
     g = before.grid
     disp = before.disp + interp_at(after.disp, before.forward(), g)
     return TransportMap.from_displacement(g, disp)
@@ -316,6 +316,21 @@ def covariant_derivative(path: PotentialPath, fields: NDArray[np.float64]) -> ND
     return path.time_derivative(fields) - 0.5 * pairing
 
 
+def _hamiltonian_velocity(zeta_frames: NDArray, u: Potential, times: NDArray) -> NDArray:
+    """sgrad zeta = (-zeta_y, zeta_x)/rho_u at times, zeta read as in symplectic_flow: (2, t, n, n)."""
+    z = np.asarray(zeta_frames, dtype=float)
+    n = u.grid.n
+    if z.ndim != 3 or not len(z) or z.shape[1:] != (n, n) or not np.isfinite(z).all():
+        raise ValueError(f"zeta_frames must be a finite (k >= 1, {n}, {n}) stack")
+    if len(z) > 1:
+        frame_times = np.linspace(0.0, 1.0, len(z))
+        j = np.minimum(np.searchsorted(frame_times, times, side="right"), len(z) - 1)
+        lam = ((times - frame_times[j - 1]) / (frame_times[j] - frame_times[j - 1]))[:, None, None]
+        z = (1.0 - lam) * z[j - 1] + lam * z[j]
+    zx, zy = gradient(np.broadcast_to(z, (len(times), n, n)), u.grid)
+    return np.stack([-zy / u.density, zx / u.density])
+
+
 def symplectic_flow(zeta_frames: NDArray[np.float64], u: Potential, substeps: int = 16) -> TransportMap:
     """Time-1 map of the Hamiltonian flow of a time family zeta on (X, omega_u).
 
@@ -324,44 +339,27 @@ def symplectic_flow(zeta_frames: NDArray[np.float64], u: Potential, substeps: in
     in time; substeps counts integrator steps per frame interval.
 
     Raises:
+        ValueError: if the frames are not a finite (k >= 1, n, n) stack on u's grid.
         StepUnstable: as in transport_flow.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
-    g = u.grid
-    z = np.asarray(zeta_frames, dtype=float)
-    if len(z) == 1:  # autonomous: the frame holds at both ends of [0, 1]
-        z = np.concatenate([z, z])
-    zx, zy = gradient(z, g)
-    v = np.stack([-zy / u.density, zx / u.density])
-    *_, disp = _flow_positions(g, v[:, :-1], v[:, 1:], np.linspace(0.0, 1.0, len(z)), substeps)
-    return TransportMap.from_displacement(g, disp)
+    times = np.linspace(0.0, 1.0, max(len(np.atleast_1d(zeta_frames)), 2))
+    v = _hamiltonian_velocity(zeta_frames, u, times)
+    *_, disp = _flow_positions(u.grid, v[:, :-1], v[:, 1:], times, substeps)
+    return TransportMap.from_displacement(u.grid, disp)
 
 
-def composition_scheme(
-    zeta_frames: NDArray[np.float64], k: int, u: Potential, substeps_per_leg: int = 8
-) -> TransportMap:
+def composition_scheme(zeta_frames: NDArray[np.float64], k: int, u: Potential) -> TransportMap:
     """1-step composition of frozen-time Hamiltonian flows.
 
-    Builds the composition of the time-(1/k) flows of the autonomous fields
-    sgrad zeta(j/k), j = 0 .. k-1, applied in time order.  Converges to the
-    directly integrated time-dependent flow as k grows.
+    Carries the cell centers through the autonomous fields sgrad zeta(j/k),
+    j = 0 .. k-1, each for time 1/k in time order, in one integrator pass.
+    First order in 1/k against the time-dependent flow; exact for an
+    autonomous family.  Raises as symplectic_flow does, and for k < 1.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    z = np.asarray(zeta_frames, dtype=float)
-    frame_times = np.linspace(0.0, 1.0, z.shape[0]) if z.shape[0] > 1 else np.array([0.0])
-
-    def frame_at(s: float) -> GridField:
-        if z.shape[0] == 1:
-            return z[0]
-        j = min(np.searchsorted(frame_times, s, side="right"), z.shape[0] - 1)
-        lam = (s - frame_times[j - 1]) / (frame_times[j] - frame_times[j - 1])
-        return (1.0 - lam) * z[j - 1] + lam * z[j]
-
-    total = TransportMap.identity(u.grid)
-    for j in range(k):
-        frozen = frame_at(j / k)
-        leg = symplectic_flow(frozen[None] * (1.0 / k), u, substeps=substeps_per_leg)
-        total = compose(leg, total)
-    return total
+    v = _hamiltonian_velocity(zeta_frames, u, np.arange(k) / k)
+    *_, disp = _flow_positions(u.grid, v, v, np.linspace(0.0, 1.0, k + 1), _SUBSTEPS_PER_LEG)
+    return TransportMap.from_displacement(u.grid, disp)

@@ -440,7 +440,7 @@ def test_11_composed_hamiltonian_flows_converge_monotonically():
         frames = (1.0 - s) * za + s * zb
         ref = symplectic_flow(frames, u, substeps=64)
         errs = [
-            map_distance(composition_scheme(frames, k, u, substeps_per_leg=8), ref)
+            map_distance(composition_scheme(frames, k, u), ref)
             for k in (4, 8, 16, 32)
         ]
         all_monotone &= all(x > y for x, y in zip(errs, errs[1:]))

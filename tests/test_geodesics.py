@@ -24,7 +24,7 @@ from mal.geodesics import (
     time_convexity_margin,
     weak_geodesic,
 )
-from mal.grid import Grid, dx, dy, laplacian, make_potential
+from mal.grid import Grid, dx, dy, gradient, laplacian, make_potential, poisson_bracket
 from mal.transport import PotentialPath, covariant_derivative, linear_path
 
 
@@ -637,6 +637,39 @@ class TestJacobiResidual:
         sol = solve_epsilon_geodesic(p)
         xi = np.ones((17, 8, 8))
         assert jacobi_residual(sol, xi) < 1e-6
+
+    def test_only_reported_knots_computed(self, scheme, monkeypatch):
+        """Brackets are built for the middle-third knots only; the sup is unchanged."""
+
+        def all_interior_reference(sol, xi):
+            path, m = sol.path, len(sol.path.knots) - 1
+            second = covariant_derivative(path, covariant_derivative(path, xi))[2 : m - 1]
+            udot = path.knot_velocity[2 : m - 1]
+            bracket, div_term = np.empty_like(second), np.empty_like(second)
+            for j, i in enumerate(range(2, m - 1)):
+                u = path.knots[i]
+                inner = poisson_bracket(u, udot[j], xi[i])
+                bracket[j] = poisson_bracket(u, inner, udot[j])
+                xx, xy = gradient(xi[i], path.grid)
+                f = 1.0 / u.density
+                div_term[j] = dx(f * xx, path.grid) + dy(f * xy, path.grid)
+            rho = path.densities[2 : m - 1]
+            residual = rho * second - 0.25 * bracket * rho + 0.5 * sol.epsilon * div_term
+            lo, hi = max((m + 2) // 3, 2), min((2 * m) // 3, m - 2)
+            return float(np.abs(residual[lo - 2 : hi - 1]).max())
+
+        g = Grid(16, scheme)
+        rng = np.random.default_rng(33)
+        u_a = random_potential(g, rng, amplitude=0.01)
+        u_b = random_potential(g, rng, amplitude=0.01)
+        sol = solve_epsilon_geodesic(EpsGeodesicProblem(u_a, u_b, (0.0, 1.0), 0.5, time_steps=16))
+        xi = 0.01 * rng.standard_normal(sol.path.fields.shape)
+        expected = all_interior_reference(sol, xi)
+        calls = []
+        real = geodesics.poisson_bracket
+        monkeypatch.setattr(geodesics, "poisson_bracket", lambda *a: calls.append(a) or real(*a))
+        assert jacobi_residual(sol, xi) == expected
+        assert len(calls) == 2 * 5
 
     def test_velocity_is_a_jacobi_field(self, scheme):
         """udot satisfies the linearized equation under joint refinement."""

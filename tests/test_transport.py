@@ -80,6 +80,13 @@ class TestPathValidation:
         with pytest.raises(ValueError, match="orientation"):
             TransportMap.from_displacement(g, np.stack([disp, np.zeros_like(disp)]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_jacobian_rejected(self, bad):
+        jac = np.ones((8, 8))
+        jac[3, 4] = bad
+        with pytest.raises(ValueError, match="orientation"):
+            TransportMap(Grid(8), np.zeros((2, 8, 8)), jac)
+
 
 class TestVelocity:
     def test_constant_path_zero_velocity(self):
@@ -377,7 +384,7 @@ class TestCompositionScheme:
         u = random_potential(g, rng)
         frames = self.time_family(g, rng)
         direct = symplectic_flow(frames[0][None], u, substeps=8)
-        comp = composition_scheme(frames, 1, u, substeps_per_leg=8)
+        comp = composition_scheme(frames, 1, u)
         assert np.array_equal(comp.disp, direct.disp)
 
     def test_autonomous_family_matches_single_flow(self, scheme):
@@ -386,8 +393,8 @@ class TestCompositionScheme:
         u = random_potential(g, rng, amplitude=0.01, max_mode=1)
         zeta = random_band_limited(g, rng, 0.02, max_mode=1)
         single = symplectic_flow(zeta[None], u, substeps=32)
-        comp = composition_scheme(zeta[None], 4, u, substeps_per_leg=8)
-        assert map_distance(comp, single) < 2e-3
+        comp = composition_scheme(zeta[None], 4, u)
+        assert map_distance(comp, single) <= 1e-12
 
     def test_error_decays_in_k(self, scheme):
         g = Grid(32, scheme)
@@ -398,8 +405,45 @@ class TestCompositionScheme:
         err = {k: map_distance(composition_scheme(frames, k, u), ref) for k in (8, 32)}
         assert err[32] < err[8]
 
+    @pytest.mark.parametrize("seed", [41, 43, 47])
+    def test_first_order_in_k(self, scheme, seed):
+        """On check 11's fixtures doubling k halves the error: no interpolation floor."""
+        g = Grid(16, scheme)
+        rng = np.random.default_rng(seed)
+        u = random_potential(g, rng, 0.02)
+        frames = self.time_family(g, rng)
+        ref = symplectic_flow(frames, u, substeps=64)
+        err = {k: map_distance(composition_scheme(frames, k, u), ref) for k in (16, 32)}
+        assert err[32] <= 0.6 * err[16]
+
     def test_k_validated(self):
         g = Grid(8)
         u = make_potential(np.zeros((8, 8)), g)
         with pytest.raises(ValueError, match="k"):
             composition_scheme(np.zeros((1, 8, 8)), 0, u)
+
+
+@pytest.mark.parametrize(
+    "flow",
+    [
+        lambda z, u: symplectic_flow(z, u, substeps=4),
+        lambda z, u: composition_scheme(z, 2, u),
+    ],
+    ids=["symplectic_flow", "composition_scheme"],
+)
+@pytest.mark.parametrize(
+    "frames",
+    [
+        np.zeros(()),
+        np.zeros((16, 16)),
+        np.zeros((0, 16, 16)),
+        np.zeros((2, 8, 8)),
+        np.full((2, 16, 16), np.nan),
+        np.full((1, 16, 16), np.inf),
+    ],
+    ids=["0-D", "2-D", "empty", "other-grid", "nan", "inf"],
+)
+def test_malformed_frames_rejected(flow, frames):
+    u = make_potential(np.zeros((16, 16)), Grid(16))
+    with pytest.raises(ValueError, match="zeta_frames"):
+        flow(frames, u)
