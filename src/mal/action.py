@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GenerationFailed, HomogeneityRequired, NotKahler
-from .fixtures import random_band_limited
+from .fixtures import sample_band_limited
 from .geodesics import (
     EpsGeodesicProblem,
     jacobi_field,
@@ -42,7 +42,7 @@ from .geodesics import (
     sup_distance,
     weak_geodesic,
 )
-from .grid import Grid, Potential, WeightedValues, laplacian, make_potential
+from .grid import Potential, WeightedValues, make_potential
 from .lagrangians import LagrangianSpec, VerificationReport, evaluate
 from .rearrangement import decreasing_rearrangement, step_l1_distance
 from .transport import PotentialPath
@@ -111,6 +111,7 @@ def least_action(q: LeastActionQuery) -> float:
 
 _KNOT_BUDGET = 4  # interior knots per competitor path
 _AMPLITUDE = 0.05  # first amplitude of a competitor knot draw
+_MAX_MODE = 3  # highest Fourier mode of a competitor knot draw
 
 # The last competitor set drawn: its competitor_paths key and, per path, the
 # knot times and the interior knots.  One slot, so it holds one set at most.
@@ -132,10 +133,11 @@ def competitor_paths(
     knot perturbs the linear interpolant by a random band-limited field,
     redrawn with halved amplitude while the candidate leaves the admissible
     set.  The density is affine in the field, so a draw at s = t / duration is
-    admissible exactly when (1 - s) rho_start + s rho_end + lap(draw) / 2 > 0;
-    only the accepted knot is built as a Potential, and a knot that still
-    fails make_potential by rounding counts as one more rejection.
-    Deterministic for a fixed seed.
+    admissible exactly when (1 - s) rho_start + s rho_end + lap(draw) / 2 > 0,
+    judged on the Laplacian drawn with the field, so no transform runs; only
+    the accepted knot is built as a Potential, and a knot that still fails
+    make_potential by rounding counts as one more rejection.  Deterministic
+    for a fixed seed.
 
     The last set drawn is kept in a one-slot memo keyed by the arguments,
     endpoints by identity, so the Lagrangians of one least-action check share
@@ -150,8 +152,9 @@ def competitor_paths(
         raise ValueError(f"count must be at least 1, got {count}")
     if knot_budget < 0:
         raise ValueError("knot_budget must be nonnegative")
-    if not 0.0 < duration < np.inf:
-        raise ValueError("duration must be finite and positive")
+    for name, value in (("duration", duration), ("amplitude", amplitude)):
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{name} must be finite and positive")
     key = (start, end, duration, count, seed, knot_budget, amplitude)
     drawn = _COMPETITORS.get(key)
     if drawn is None:
@@ -173,7 +176,6 @@ def _draw_competitors(
     amplitude: float,
 ) -> list[tuple[np.ndarray, tuple[Potential, ...]]]:
     """(times, interior knots) of each competitor_paths path, drawn afresh."""
-    g = start.grid
     rng = np.random.default_rng(seed)
     drawn = []
     for _ in range(count):
@@ -188,11 +190,11 @@ def _draw_competitors(
             density = (1.0 - s) * start.density + s * end.density
             amp = amplitude
             for _ in range(51):
-                draw = random_band_limited(g, rng, amp)
+                draw, lap = sample_band_limited(start.grid, rng, amp, _MAX_MODE)
                 amp *= 0.5
-                if _admissible(density, draw, g):
+                if (density + 0.5 * lap).min() > 0.0:
                     try:
-                        knots.append(make_potential(base + draw, g))
+                        knots.append(make_potential(base + draw, start.grid))
                         break
                     except NotKahler:
                         pass
@@ -203,11 +205,6 @@ def _draw_competitors(
         times.setflags(write=False)
         drawn.append((times, tuple(knots)))
     return drawn
-
-
-def _admissible(density: np.ndarray, draw: np.ndarray, grid: Grid) -> bool:
-    """Whether adding draw to a field of the given density keeps it positive."""
-    return bool((density + 0.5 * laplacian(draw, grid)).min() > 0.0)
 
 
 def verify_least_action(

@@ -1,47 +1,61 @@
 """Seeded band-limited test fields and admissible potentials.
 
 Fields are random trigonometric sums over the low Fourier modes, drawn from a
-caller-supplied generator and synthesized by one inverse FFT; potentials
-rescale them to keep the Monge-Ampere density at least 1/2.
+caller-supplied generator and summed with their Laplacians through one mode
+table cached per grid and band; potentials rescale them to keep the
+Monge-Ampere density at least 1/2.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import scipy.fft
+from functools import lru_cache
 
-from .grid import Grid, GridField, Potential, laplacian, make_potential
+import numpy as np
+
+from .grid import Grid, GridField, Potential, fourier_symbols, make_potential
+
+
+@lru_cache(maxsize=32)
+def _mode_table(grid: Grid, max_mode: int) -> tuple[np.ndarray, ...]:
+    """(cs, keep, weight) for k = -M..M: cos and sin of 2 pi k x at the cell centres,
+    one kept (kx, ky) per conjugate pair, and 1 and the grid's Laplacian symbol at
+    (kx mod n, ky mod n) on the rfft2 half, exact under aliasing, per cos/sin block."""
+    n, k = grid.n, np.arange(-max_mode, max_mode + 1)
+    phase = (2.0 * np.pi / n) * (np.outer(np.arange(n), k) % n)
+    keep = (k[:, None] > 0) | ((k[:, None] == 0) & (k > 0))
+    lap = np.tile(fourier_symbols(grid).lap[k[:, None] % n, np.minimum(k % n, -k % n)], (2, 2))
+    return np.hstack((np.cos(phase), np.sin(phase))), keep, np.stack((np.ones_like(lap), lap))
+
+
+def sample_band_limited(
+    grid: Grid, rng: np.random.Generator, amplitude: float, max_mode: int
+) -> tuple[GridField, GridField]:
+    """(field, laplacian(field, grid)) of one random_band_limited draw: by the angle sums,
+    sum a cos + b sin = cs @ [[A, B], [B, -A]] @ cs.T, and weighting the block by the
+    symbol gives the Laplacian.  Raises ValueError unless 0 <= amplitude < inf."""
+    if not 0.0 <= amplitude < np.inf:
+        raise ValueError(f"amplitude must be finite and nonnegative, got {amplitude!r}")
+    cs, keep, weight = _mode_table(grid, max_mode)
+    a, b = np.zeros((2, *keep.shape))
+    a[keep], b[keep] = rng.standard_normal((np.count_nonzero(keep), 2)).T
+    coef = np.concatenate((np.concatenate((a, b), 1), np.concatenate((b, -a), 1)))
+    f, lap = cs @ (coef * weight) @ cs.T
+    scale = amplitude / sup if (sup := float(np.abs(f).max())) else 0.0
+    return f * scale, lap * scale
 
 
 def random_band_limited(
     grid: Grid, rng: np.random.Generator, amplitude: float, max_mode: int = 3
 ) -> GridField:
-    """Seeded random trigonometric field with sup norm equal to amplitude.
-
-    Each mode (kx, ky) with 0 <= kx <= max_mode, |ky| <= max_mode, one
-    representative per conjugate pair, draws a cos and a sin coefficient
-    (a, b); the sum of a cos + b sin is n^2 times the real part of the inverse
-    FFT of a - ib placed at (kx mod n, ky mod n), where aliased modes add up.
-    """
-    n = grid.n
-    kx, ky = np.meshgrid(np.arange(max_mode + 1), np.arange(-max_mode, max_mode + 1), indexing="ij")
-    keep = (kx > 0) | (ky > 0)
-    ab = rng.standard_normal((int(keep.sum()), 2))
-    spec = np.zeros((n, n), dtype=complex)
-    np.add.at(spec, (kx[keep] % n, ky[keep] % n), ab[:, 0] - 1j * ab[:, 1])
-    f = n * n * scipy.fft.ifft2(spec).real
-    sup = float(np.abs(f).max())
-    if sup == 0.0:
-        return f
-    return f * (amplitude / sup)
+    """Seeded random trigonometric field with sup norm amplitude (0 gives zero):
+    a cos and a sin coefficient per mode 0 <= kx <= max_mode, |ky| <= max_mode,
+    one per conjugate pair in row-major order, summed through the mode table."""
+    return sample_band_limited(grid, rng, amplitude, max_mode)[0]
 
 
 def random_potential(
     grid: Grid, rng: np.random.Generator, amplitude: float = 0.02, max_mode: int = 3
 ) -> Potential:
     """Seeded random potential, scaled so its density stays >= 1/2."""
-    f = random_band_limited(grid, rng, amplitude, max_mode)
-    lap_min = float(laplacian(f, grid).min())
-    if lap_min < -1.0:
-        f = f * (1.0 / -lap_min)
-    return make_potential(f, grid)
+    f, lap = sample_band_limited(grid, rng, amplitude, max_mode)
+    return make_potential(f * (1.0 / max(1.0, -float(lap.min()))), grid)

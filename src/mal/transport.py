@@ -97,13 +97,6 @@ class TransportMap:
         return cls(grid, _frozen(disp), _frozen(jac))
 
 
-def compose(after: TransportMap, before: TransportMap) -> TransportMap:
-    """Map doing `before` first, then `after` (displacements interpolated)."""
-    g = before.grid
-    disp = before.disp + interp_at(after.disp, before.forward(), g)
-    return TransportMap.from_displacement(g, disp)
-
-
 def map_distance(a: TransportMap, b: TransportMap) -> float:
     """Sup over cells of the torus distance between the two images."""
     d = np.mod(a.disp - b.disp + 0.5, 1.0) - 0.5

@@ -1,13 +1,20 @@
 """Shared generators and oracles for tests: exact-arithmetic weighted sets, small
-fields, stand-in and recording Krylov solvers and the Newton operators composed
-from stencils."""
+fields, stand-in and recording Krylov solvers, the Newton operators composed
+from stencils, and the composition of two transport maps."""
 
 import numpy as np
 import scipy.fft
 from scipy.sparse.linalg import LinearOperator
 
 from mal.grid import fourier_symbols, gradient, laplacian
-from mal.transport import centered_differences
+from mal.transport import TransportMap, centered_differences, interp_at
+
+
+def compose(after, before):
+    """Map doing `before` first, then `after` (displacements interpolated)."""
+    g = before.grid
+    disp = before.disp + interp_at(after.disp, before.forward(), g)
+    return TransportMap.from_displacement(g, disp)
 
 
 def dyadic_weighted(rng, k, denom_pow=10, value_span=16):

@@ -1,14 +1,14 @@
 """Tests for path actions, least action, and the verification experiments."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mal import action, geodesics
+from mal import action, fixtures, geodesics
 from mal.action import (
     LeastActionQuery,
-    _admissible,
     competitor_paths,
     least_action,
     midpoint_convexity_margin,
@@ -23,13 +23,21 @@ from mal.action import (
 from mal.errors import GenerationFailed, HomogeneityRequired, NotKahler
 from mal.fixtures import random_band_limited, random_potential
 from mal.geodesics import EpsGeodesicProblem, solve_epsilon_geodesic, weak_geodesic
-from mal.grid import Grid, make_potential
+from mal.grid import SCHEMES, Grid, make_potential
 from mal.lagrangians import LorentzWeak, Orlicz, Power, evaluate
 from mal.transport import PotentialPath, linear_path
 
 
 def constant_potential(grid, value):
     return make_potential(np.full((grid.n, grid.n), float(value)), grid)
+
+
+def _counting(fn, calls):
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    return counted
 
 
 def native_scalar_path(grid, profile, intervals):
@@ -304,22 +312,26 @@ class TestCompetitorPaths:
             assert all(k is l for k, l in zip(a.knots, b.knots))
 
     def test_affine_verdict_matches_make_potential(self):
-        g = Grid(32)
-        rng = np.random.default_rng(5)
-        u_a, u_b = random_potential(g, rng, 0.02), random_potential(g, rng, 0.02)
-        verdicts = []
-        for _ in range(400):
-            s = rng.uniform()
-            draw = random_band_limited(g, rng, 10.0 ** rng.uniform(-3.0, -1.0))
-            density = (1.0 - s) * u_a.density + s * u_b.density
-            try:
-                make_potential((1.0 - s) * u_a.field + s * u_b.field + draw, g)
-                built = True
-            except NotKahler:
-                built = False
-            assert _admissible(density, draw, g) == built
-            verdicts.append(built)
-        assert 50 < sum(verdicts) < 350
+        """The draw's own Laplacian judges it as make_potential would, on 400 draws per
+        scheme at n = 32 and at n = 4, where modes up to 3 alias."""
+        for (n, max_mode), scheme in itertools.product(((32, 3), (4, 3)), SCHEMES):
+            g = Grid(n, scheme)
+            rng = np.random.default_rng(5)
+            u_a, u_b = random_potential(g, rng, 0.02), random_potential(g, rng, 0.02)
+            verdicts = []
+            for _ in range(400):
+                s = rng.uniform()
+                amplitude = 10.0 ** rng.uniform(-3.0, -1.0)
+                draw, lap = fixtures.sample_band_limited(g, rng, amplitude, max_mode)
+                density = (1.0 - s) * u_a.density + s * u_b.density
+                try:
+                    make_potential((1.0 - s) * u_a.field + s * u_b.field + draw, g)
+                    built = True
+                except NotKahler:
+                    built = False
+                assert bool((density + 0.5 * lap).min() > 0.0) == built
+                verdicts.append(built)
+            assert 50 < sum(verdicts) < 350, (n, scheme)
 
     def test_knots_match_draw_then_build_loop(self):
         g = Grid(32)
@@ -368,8 +380,12 @@ class TestCompetitorPaths:
                 rejected.append(1)
                 raise
 
+        def unjudged(*args):
+            field, lap = fixtures.sample_band_limited(*args)
+            return field, np.full_like(lap, np.inf)
+
         # every draw now reaches make_potential, which alone rejects the inadmissible ones
-        monkeypatch.setattr(action, "_admissible", lambda density, draw, grid: True)
+        monkeypatch.setattr(action, "sample_band_limited", unjudged)
         monkeypatch.setattr(action, "make_potential", counting)
         v_a, v_b = make_potential(u_a.field, g), make_potential(u_b.field, g)
         paths = competitor_paths(v_a, v_b, 1.0, 3, seed=4)
@@ -381,11 +397,11 @@ class TestCompetitorPaths:
     def test_forms_of_one_check_share_one_draw(self, monkeypatch):
         calls = []
 
-        def counting(*args, **kwargs):
+        def counting(*args):
             calls.append(1)
-            return random_band_limited(*args, **kwargs)
+            return fixtures.sample_band_limited(*args)
 
-        monkeypatch.setattr(action, "random_band_limited", counting)
+        monkeypatch.setattr(action, "sample_band_limited", counting)
         g = Grid(16)
         rng = np.random.default_rng(8)
         u_a, u_b = random_potential(g, rng, 0.02), random_potential(g, rng, 0.02)
@@ -396,6 +412,26 @@ class TestCompetitorPaths:
             verify_least_action(q, count=5, seed=3, geodesic=geod)
             draws.append(len(calls))
         assert draws[0] >= 5 * 4 and draws == [draws[0]] * 3
+
+    def test_draws_run_no_transform(self, monkeypatch):
+        """The only transforms left are the two of each accepted knot's density."""
+        import scipy.fft
+
+        g = Grid(16)
+        u = constant_potential(g, 0.0)
+        transforms, built = [], []
+        for name in ("fft2", "ifft2", "rfft2", "irfft2"):
+            monkeypatch.setattr(scipy.fft, name, _counting(getattr(scipy.fft, name), transforms))
+        monkeypatch.setattr(action, "make_potential", _counting(action.make_potential, built))
+        competitor_paths(u, u, 1.0, 3, seed=6, amplitude=1.0)
+        assert len(built) == 3 * 4 and len(transforms) == 2 * len(built)
+
+    @pytest.mark.parametrize("amplitude", [0.0, -0.05, np.nan, np.inf])
+    def test_amplitude_validation(self, amplitude):
+        g = Grid(8)
+        u = constant_potential(g, 0.0)
+        with pytest.raises(ValueError, match="amplitude"):
+            competitor_paths(u, u, 1.0, 1, seed=0, amplitude=amplitude)
 
     @pytest.mark.parametrize("count", [0, -2])
     def test_count_validation(self, count):

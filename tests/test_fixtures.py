@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from mal import fixtures
 from mal.fixtures import random_band_limited, random_potential
-from mal.grid import Grid
+from mal.grid import SCHEMES, Grid, laplacian
 
 
 def trig_sum(grid, rng, amplitude, max_mode):
@@ -38,6 +39,38 @@ class TestRandomBandLimited:
     def test_no_modes_is_zero(self):
         f = random_band_limited(Grid(8), np.random.default_rng(0), 0.3, max_mode=0)
         assert not f.any()
+
+    def test_zero_amplitude_is_zero(self):
+        f = random_band_limited(Grid(8), np.random.default_rng(0), 0.0)
+        assert not f.any()
+
+    @pytest.mark.parametrize("amplitude", [np.nan, np.inf, -np.inf, -0.1])
+    def test_bad_amplitude_rejected(self, amplitude):
+        with pytest.raises(ValueError, match="amplitude"):
+            random_band_limited(Grid(8), np.random.default_rng(0), amplitude)
+
+
+class TestSampleBandLimited:
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("n", [4, 8, 32])
+    def test_laplacian_matches_grid_laplacian(self, n, scheme):
+        """Every max_mode up to n, so modes past Nyquist alias onto the grid's symbol."""
+        g = Grid(n, scheme)
+        for max_mode in range(n + 1):
+            rng = np.random.default_rng(max_mode)
+            field, lap = fixtures.sample_band_limited(g, rng, 1.0, max_mode)
+            want = laplacian(field, g)
+            assert np.abs(lap - want).max() <= 1e-13 * np.abs(want).max(), max_mode
+
+    def test_field_is_random_band_limited(self):
+        g = Grid(16, "central")
+        field, _ = fixtures.sample_band_limited(g, np.random.default_rng(2), 0.4, 5)
+        assert np.array_equal(field, random_band_limited(g, np.random.default_rng(2), 0.4, 5))
+
+    def test_mode_table_stays_small(self):
+        """Tables of n M and M^2 entries: a dense modes x n^2 table would take 69 MB here."""
+        table = fixtures._mode_table(Grid(32), 32)
+        assert sum(a.nbytes for a in table) < 1_000_000
 
 
 def test_random_potential_density_at_least_half():

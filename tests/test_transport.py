@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from helpers import compose
+
 from mal.errors import NonConvergence, StepUnstable
 from mal.fixtures import random_band_limited, random_potential
 from mal.grid import Grid, make_potential
@@ -10,7 +12,6 @@ from mal.transport import (
     PotentialPath,
     TransportMap,
     bilinear_periodic,
-    compose,
     composition_scheme,
     covariant_derivative,
     inverse,
