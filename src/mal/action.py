@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GenerationFailed, HomogeneityRequired, NotKahler
+from .errors import GenerationFailed, HomogeneityRequired
 from .fixtures import sample_band_limited
 from .geodesics import (
     EpsGeodesicProblem,
@@ -42,7 +42,7 @@ from .geodesics import (
     sup_distance,
     weak_geodesic,
 )
-from .grid import Potential, WeightedValues, make_potential
+from .grid import Potential, WeightedValues, _frozen
 from .lagrangians import LagrangianSpec, VerificationReport, evaluate
 from .rearrangement import decreasing_rearrangement, step_l1_distance
 from .transport import PotentialPath
@@ -119,25 +119,18 @@ _COMPETITORS: dict = {}
 
 
 def competitor_paths(
-    start: Potential,
-    end: Potential,
-    duration: float,
-    count: int,
-    seed: int,
-    knot_budget: int = _KNOT_BUDGET,
-    amplitude: float = _AMPLITUDE,
+    start: Potential, end: Potential, duration: float, count: int, seed: int
 ) -> list[PotentialPath]:
     """Random admissible piecewise-linear paths between fixed endpoints.
 
-    Each path has knot_budget interior knots at jittered times; each interior
+    Each path has four interior knots at jittered times; each interior
     knot perturbs the linear interpolant by a random band-limited field,
     redrawn with halved amplitude while the candidate leaves the admissible
-    set.  The density is affine in the field, so a draw at s = t / duration is
-    admissible exactly when (1 - s) rho_start + s rho_end + lap(draw) / 2 > 0,
-    judged on the Laplacian drawn with the field, so no transform runs; only
-    the accepted knot is built as a Potential, and a knot that still fails
-    make_potential by rounding counts as one more rejection.  Deterministic
-    for a fixed seed.
+    set.  The density is affine in the field, so a draw at s = t / duration
+    has density (1 - s) rho_start + s rho_end + (lap(draw) - its mean) / 2,
+    from the Laplacian drawn with the field; the knot is admitted when that
+    density is positive and is built from it, as the solver builds its knots,
+    so no transform runs.  Deterministic for a fixed seed.
 
     The last set drawn is kept in a one-slot memo keyed by the arguments,
     endpoints by identity, so the Lagrangians of one least-action check share
@@ -150,61 +143,38 @@ def competitor_paths(
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    if knot_budget < 0:
-        raise ValueError("knot_budget must be nonnegative")
-    for name, value in (("duration", duration), ("amplitude", amplitude)):
-        if not 0.0 < value < np.inf:
-            raise ValueError(f"{name} must be finite and positive")
-    key = (start, end, duration, count, seed, knot_budget, amplitude)
+    if not 0.0 < duration < np.inf:
+        raise ValueError("duration must be finite and positive")
+    key = (start, end, duration, count, seed)
     drawn = _COMPETITORS.get(key)
     if drawn is None:
         _COMPETITORS.clear()
-        drawn = _draw_competitors(start, end, duration, count, seed, knot_budget, amplitude)
+        rng = np.random.default_rng(seed)
+        drawn = []
+        for _ in range(count):
+            times = np.linspace(0.0, duration, _KNOT_BUDGET + 2)
+            spacing = duration / (_KNOT_BUDGET + 1)
+            times[1:-1] += 0.3 * spacing * rng.uniform(-1.0, 1.0, size=_KNOT_BUDGET)
+            times.setflags(write=False)
+            drawn.append((times, tuple(_knot(start, end, t / duration, rng) for t in times[1:-1])))
         _COMPETITORS[key] = drawn
     return [
         PotentialPath(times, (start, *knots, end), "piecewise-linear") for times, knots in drawn
     ]
 
 
-def _draw_competitors(
-    start: Potential,
-    end: Potential,
-    duration: float,
-    count: int,
-    seed: int,
-    knot_budget: int,
-    amplitude: float,
-) -> list[tuple[np.ndarray, tuple[Potential, ...]]]:
-    """(times, interior knots) of each competitor_paths path, drawn afresh."""
-    rng = np.random.default_rng(seed)
-    drawn = []
-    for _ in range(count):
-        times = np.linspace(0.0, duration, knot_budget + 2)
-        if knot_budget:
-            spacing = duration / (knot_budget + 1)
-            times[1:-1] += 0.3 * spacing * rng.uniform(-1.0, 1.0, size=knot_budget)
-        knots = []
-        for t in times[1:-1]:
-            s = t / duration
-            base = (1.0 - s) * start.field + s * end.field
-            density = (1.0 - s) * start.density + s * end.density
-            amp = amplitude
-            for _ in range(51):
-                draw, lap = sample_band_limited(start.grid, rng, amp, _MAX_MODE)
-                amp *= 0.5
-                if (density + 0.5 * lap).min() > 0.0:
-                    try:
-                        knots.append(make_potential(base + draw, start.grid))
-                        break
-                    except NotKahler:
-                        pass
-            else:
-                raise GenerationFailed(
-                    f"no admissible knot at t = {t:.4g} after 50 amplitude shrinkages"
-                )
-        times.setflags(write=False)
-        drawn.append((times, tuple(knots)))
-    return drawn
+def _knot(start: Potential, end: Potential, s: float, rng: np.random.Generator) -> Potential:
+    """One competitor knot at time fraction s, drawn as competitor_paths describes."""
+    base = (1.0 - s) * start.field + s * end.field
+    density = (1.0 - s) * start.density + s * end.density
+    amp = _AMPLITUDE
+    for _ in range(51):
+        draw, lap = sample_band_limited(start.grid, rng, amp, _MAX_MODE)
+        amp *= 0.5
+        knot_density = density + 0.5 * (lap - lap.mean())
+        if knot_density.min() > 0.0:
+            return Potential(start.grid, _frozen(base + draw), _frozen(knot_density))
+    raise GenerationFailed(f"no admissible knot at s = {s:.4g} after 50 amplitude shrinkages")
 
 
 def verify_least_action(
@@ -217,8 +187,8 @@ def verify_least_action(
     """Check that no random competitor beats the connecting weak geodesic.
 
     The worst violation is max(0, geodesic action - competitor action) over
-    the generated competitors, drawn with competitor_paths' defaults of four
-    interior knots and amplitude 0.05; the margin distribution is recorded.
+    the generated competitors, each with four interior knots first drawn at
+    amplitude 0.05; the margin distribution is recorded.
     The tolerance absorbs the time discretization and continuation gap of the
     geodesic action, and the second-order quadrature error of Lagrangians
     not linear in the measure.  geodesic defaults to q.geodesic; a ValueError

@@ -343,13 +343,13 @@ def weak_geodesic(
 def hcma_residual(path: PotentialPath) -> NDArray[np.float64]:
     """c(t, x) = udotdot rho_u - (1/2)|grad udot|^2 at interior knots.
 
-    Vanishes for weak geodesics and equals epsilon for epsilon-geodesics.
+    Vanishes for weak geodesics and equals epsilon for epsilon-geodesics.  It
+    is rho_u times the solver's interior residual at epsilon = 0.
     """
     if len(path.knots) < 3:
         raise ValueError("need at least three knots")
-    udot, second = centered_differences(path.fields, path.uniform_step)
-    gx, gy = gradient(udot, path.grid)
-    return second * path.densities[1:-1] - 0.5 * (gx * gx + gy * gy)
+    lin = _linearize(path.fields, path.densities, path.uniform_step, 0.0, path.grid)
+    return path.densities[1:-1] * lin.res
 
 
 def time_convexity_margin(path: PotentialPath) -> float:

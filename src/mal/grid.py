@@ -158,9 +158,10 @@ def _frozen(a: NDArray) -> NDArray:
 class Potential:
     """Admissible potential: field together with its positive MA density.
 
-    Construct through make_potential, which computes the density, or, as the
-    geodesic solver does for its knots, from a density already computed with
-    ma_density; fields or densities that are not finite, or densities not
+    Construct through make_potential, which computes the density, or from a
+    density already computed: the geodesic solver's knots carry the ma_density
+    of its iterate, and competitor knots the density their admissibility
+    verdict read.  Fields or densities that are not finite, or densities not
     positive everywhere, are rejected here.
     """
 

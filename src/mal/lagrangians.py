@@ -30,7 +30,6 @@ from .fixtures import random_potential
 from .grid import Grid, GridField, Potential, WeightedValues
 from .rearrangement import (
     StepFunction,
-    decreasing_rearrangement,
     equidistributed,
     hardy_littlewood_sup,
     rearrange_values,
@@ -127,8 +126,8 @@ class Power:
 class SupFamily:
     """Sup of affine functionals xi -> a + sup of rearranged-f0 pairings.
 
-    members: pairs (a, f0) with every f0 a mass-1 StepFunction (a
-    rearrangement class, not a raw field).
+    members: pairs (a, f0) of a finite offset a and a mass-1 StepFunction f0
+    (a rearrangement class, not a raw field).
     """
 
     members: tuple[tuple[float, StepFunction], ...]
@@ -137,6 +136,8 @@ class SupFamily:
         if not self.members:
             raise ValueError("SupFamily needs at least one member")
         for a, f0 in self.members:
+            if not np.isfinite(a):
+                raise ValueError(f"member offsets must be finite, got {a!r}")
             if abs(f0.total_mass - 1.0) > 1e-9:
                 raise ValueError("every member step function must have mass 1")
 

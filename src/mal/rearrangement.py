@@ -28,8 +28,8 @@ from .grid import WeightedValues, _frozen
 class StepFunction:
     """Left-continuous decreasing step function on (0, M].
 
-    bounds: 0 = s_0 < s_1 < ... < s_k = M
-    levels: v_1 > v_2 > ... > v_k, with value v_j on (s_{j-1}, s_j].
+    bounds: 0 = s_0 < s_1 < ... < s_k = M, all finite
+    levels: v_1 > v_2 > ... > v_k, all finite, with value v_j on (s_{j-1}, s_j].
     """
 
     bounds: NDArray[np.float64]
@@ -46,6 +46,9 @@ class StepFunction:
             raise ValueError("bounds must be strictly increasing")
         if not np.all(np.diff(self.levels) < 0):
             raise ValueError("levels must be strictly decreasing")
+        # with the order checks above, finite ends make every entry finite
+        if not np.isfinite([self.bounds[-1], self.levels[0], self.levels[-1]]).all():
+            raise ValueError("bounds and levels must be finite")
 
     @property
     def total_mass(self) -> float:

@@ -23,7 +23,7 @@ from mal.action import (
 from mal.errors import GenerationFailed, HomogeneityRequired, NotKahler
 from mal.fixtures import random_band_limited, random_potential
 from mal.geodesics import EpsGeodesicProblem, solve_epsilon_geodesic, weak_geodesic
-from mal.grid import SCHEMES, Grid, make_potential
+from mal.grid import SCHEMES, Grid, ma_density, make_potential
 from mal.lagrangians import LorentzWeak, Orlicz, Power, evaluate
 from mal.transport import PotentialPath, linear_path
 
@@ -264,23 +264,13 @@ class TestLeastAction:
 
 
 class TestCompetitorPaths:
-    def test_zero_budget_is_linear_path(self):
-        g = Grid(8)
-        u_a = constant_potential(g, 0.0)
-        u_b = constant_potential(g, 1.0)
-        paths = competitor_paths(u_a, u_b, 2.0, 3, seed=0, knot_budget=0)
-        assert len(paths) == 3
-        for p in paths:
-            assert len(p.knots) == 2
-            assert p.knots[0] is u_a and p.knots[1] is u_b
-
     def test_interior_knot_count_and_endpoints(self):
         g = Grid(16)
         rng = np.random.default_rng(3)
         u_a = random_potential(g, rng)
         u_b = random_potential(g, rng)
-        for p in competitor_paths(u_a, u_b, 1.0, 4, seed=1, knot_budget=3):
-            assert len(p.knots) == 5
+        for p in competitor_paths(u_a, u_b, 1.0, 4, seed=1):
+            assert len(p.knots) == 6
             assert p.knots[0] is u_a and p.knots[-1] is u_b
             assert p.interpolation == "piecewise-linear"
 
@@ -337,7 +327,7 @@ class TestCompetitorPaths:
         g = Grid(32)
         rng = np.random.default_rng(11)
         u_a, u_b = random_potential(g, rng, 0.02), random_potential(g, rng, 0.02)
-        count, budget, amplitude, duration = 8, 4, 0.05, 1.0
+        count, budget, amplitude, duration = 8, action._KNOT_BUDGET, action._AMPLITUDE, 1.0
         # the loop the affine test replaced: build a Potential for every draw
         rng = np.random.default_rng(21)
         expected = []
@@ -358,41 +348,22 @@ class TestCompetitorPaths:
                 else:
                     pytest.fail("the reference loop found no admissible knot")
             expected.append((times, knots))
-        paths = competitor_paths(u_a, u_b, duration, count, 21, budget, amplitude)
+        paths = competitor_paths(u_a, u_b, duration, count, 21)
         for (times, knots), path in zip(expected, paths, strict=True):
             assert np.array_equal(path.times, times)
             for want, got in zip(knots, path.knots[1:-1], strict=True):
                 assert np.array_equal(got.field, want.field)
-                assert np.array_equal(got.density, want.density)
+                # the knot carries the density its verdict read
+                assert np.abs(got.density - want.density).max() <= 1e-13
 
-    def test_draw_rejected_by_make_potential_counts_as_rejection(self, monkeypatch):
-        g = Grid(16)
-        rng = np.random.default_rng(3)
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_knot_density_is_ma_density(self, scheme):
+        g = Grid(32, scheme)
+        rng = np.random.default_rng(11)
         u_a, u_b = random_potential(g, rng, 0.02), random_potential(g, rng, 0.02)
-        expected = competitor_paths(u_a, u_b, 1.0, 3, seed=4)
-        build = action.make_potential
-        rejected = []
-
-        def counting(field, grid):
-            try:
-                return build(field, grid)
-            except NotKahler:
-                rejected.append(1)
-                raise
-
-        def unjudged(*args):
-            field, lap = fixtures.sample_band_limited(*args)
-            return field, np.full_like(lap, np.inf)
-
-        # every draw now reaches make_potential, which alone rejects the inadmissible ones
-        monkeypatch.setattr(action, "sample_band_limited", unjudged)
-        monkeypatch.setattr(action, "make_potential", counting)
-        v_a, v_b = make_potential(u_a.field, g), make_potential(u_b.field, g)
-        paths = competitor_paths(v_a, v_b, 1.0, 3, seed=4)
-        assert rejected
-        for want, got in zip(expected, paths, strict=True):
-            assert np.array_equal(got.times, want.times)
-            assert np.array_equal(got.fields, want.fields)
+        for path in competitor_paths(u_a, u_b, 1.0, 8, seed=21):
+            for knot in path.knots[1:-1]:
+                assert np.abs(knot.density - ma_density(knot.field, g)).max() <= 1e-13
 
     def test_forms_of_one_check_share_one_draw(self, monkeypatch):
         calls = []
@@ -414,24 +385,19 @@ class TestCompetitorPaths:
         assert draws[0] >= 5 * 4 and draws == [draws[0]] * 3
 
     def test_draws_run_no_transform(self, monkeypatch):
-        """The only transforms left are the two of each accepted knot's density."""
+        """No transform runs and no density is recomputed: make_potential would
+        compute its knot's density through grid.ma_density."""
         import scipy.fft
 
         g = Grid(16)
         u = constant_potential(g, 0.0)
-        transforms, built = [], []
+        transforms, densities = [], []
         for name in ("fft2", "ifft2", "rfft2", "irfft2"):
             monkeypatch.setattr(scipy.fft, name, _counting(getattr(scipy.fft, name), transforms))
-        monkeypatch.setattr(action, "make_potential", _counting(action.make_potential, built))
-        competitor_paths(u, u, 1.0, 3, seed=6, amplitude=1.0)
-        assert len(built) == 3 * 4 and len(transforms) == 2 * len(built)
-
-    @pytest.mark.parametrize("amplitude", [0.0, -0.05, np.nan, np.inf])
-    def test_amplitude_validation(self, amplitude):
-        g = Grid(8)
-        u = constant_potential(g, 0.0)
-        with pytest.raises(ValueError, match="amplitude"):
-            competitor_paths(u, u, 1.0, 1, seed=0, amplitude=amplitude)
+        monkeypatch.setattr("mal.grid.ma_density", _counting(ma_density, densities))
+        paths = competitor_paths(u, u, 1.0, 3, seed=6)
+        assert sum(len(p.knots) - 2 for p in paths) == 3 * 4
+        assert transforms == [] and densities == []
 
     @pytest.mark.parametrize("count", [0, -2])
     def test_count_validation(self, count):
@@ -443,19 +409,18 @@ class TestCompetitorPaths:
     def test_budget_validation(self):
         g = Grid(8)
         u = constant_potential(g, 0.0)
-        with pytest.raises(ValueError):
-            competitor_paths(u, u, 1.0, 1, seed=0, knot_budget=-1)
         for duration in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(ValueError, match="duration"):
                 competitor_paths(u, u, duration, 1, seed=0)
 
-    def test_generation_failure_on_hopeless_amplitude(self):
+    def test_generation_failure_on_hopeless_amplitude(self, monkeypatch):
         g = Grid(8)
         u = constant_potential(g, 0.0)
-        competitor_paths(u, u, 1.0, 1, seed=0, knot_budget=1)
+        competitor_paths(u, u, 1.0, 1, seed=0)
         assert len(action._COMPETITORS) == 1
+        monkeypatch.setattr(action, "_AMPLITUDE", 1e18)
         with pytest.raises(GenerationFailed):
-            competitor_paths(u, u, 1.0, 1, seed=0, knot_budget=1, amplitude=1e18)
+            competitor_paths(u, u, 1.0, 1, seed=1)
         assert not action._COMPETITORS
 
 

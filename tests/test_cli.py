@@ -75,6 +75,15 @@ def write_config(tmp_path, name="exp.ini", text=None, **replacements):
     return path
 
 
+# JSON admits Infinity and NaN; a member carrying one is not a Lagrangian
+NON_FINITE_MEMBERS = (
+    [{"offset": 0.0, "bounds": [0.0, 0.5, 1.0], "levels": [np.inf, 0.0]}],
+    [{"offset": 0.0, "bounds": [0.0, 1.0], "levels": [np.nan]}],
+    [{"offset": 0.0, "bounds": [0.0, 0.5, np.inf], "levels": [2.0, 1.0]}],
+    [{"offset": np.nan, "bounds": [0.0, 1.0], "levels": [1.0]}],
+)
+
+
 class TestParseLagrangian:
     def test_power_form(self, tmp_path):
         spec = parse_lagrangian("power:p2", tmp_path)
@@ -113,7 +122,8 @@ class TestParseLagrangian:
             with pytest.raises(ConfigError):
                 parse_lagrangian(text, tmp_path)
         member = {"offset": 0.0, "bounds": [0.0, 1.0], "levels": [1.0]}
-        for members in ([1], [{**member, "offset": None}], [{**member, "offset": 10**400}]):
+        for members in ([1], [{**member, "offset": None}], [{**member, "offset": 10**400}],
+                        *NON_FINITE_MEMBERS):
             (tmp_path / "bad.json").write_text(json.dumps(members))
             with pytest.raises(ConfigError):
                 parse_lagrangian("supfam:bad.json", tmp_path)
@@ -543,6 +553,15 @@ class TestVerify:
         path = band_limited_config(tmp_path, **{"spec = power:p1": "spec = orlicz:p2"})
         assert main(["verify", "--config", str(path), "--suite", "comparison"]) == 3
         assert "homogeneous" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("members", NON_FINITE_MEMBERS)
+    def test_non_finite_supfam_member_exits_three(self, tmp_path, capsys, members):
+        (tmp_path / "members.json").write_text(json.dumps(members))
+        path = band_limited_config(tmp_path, **{"spec = power:p1": "spec = supfam:members.json"})
+        code = main(["verify", "--config", str(path), "--suite", "noether,least-action"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("config error: [lagrangian] spec")
+        assert not (tmp_path / "out").exists()
 
     def test_domain_error_exits_two(self, tmp_path, capsys, monkeypatch):
         def failing(run):

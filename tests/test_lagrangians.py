@@ -77,6 +77,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SupFamily(((0.0, short),))
 
+    @pytest.mark.parametrize("offset", [np.nan, np.inf, -np.inf])
+    def test_supfamily_rejects_non_finite_offset(self, offset):
+        ones = StepFunction(np.array([0.0, 1.0]), np.array([1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            SupFamily(((offset, ones),))
+
     def test_homogeneity_flags(self):
         ones = StepFunction(np.array([0.0, 1.0]), np.array([1.0]))
         assert LorentzWeak(0.5).positively_homogeneous

@@ -39,6 +39,19 @@ class TestStepFunction:
         with pytest.raises(ValueError, match="1-d"):
             StepFunction(np.array([[0.0, 1.0]]), np.array([1.0]))
 
+    @pytest.mark.parametrize("bounds, levels", [
+        ([0.0, np.inf], [1.0]),
+        ([0.0, 0.5, np.inf], [2.0, 1.0]),
+        ([0.0, np.nan], [1.0]),
+        ([0.0, 1.0], [np.nan]),
+        ([0.0, 1.0], [np.inf]),
+        ([0.0, 0.5, 1.0], [np.inf, 0.0]),
+        ([0.0, 0.5, 1.0], [1.0, -np.inf]),
+    ])
+    def test_non_finite_rejected(self, bounds, levels):
+        with pytest.raises(ValueError):
+            StepFunction(np.array(bounds), np.array(levels))
+
     def test_left_continuity_at_breakpoints(self):
         s = StepFunction(np.array([0.0, 0.3, 1.0]), np.array([5.0, 2.0]))
         assert s.value(0.3) == 5.0
