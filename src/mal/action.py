@@ -87,8 +87,9 @@ def path_action(spec: LagrangianSpec, path: PotentialPath) -> float:
     the knot average, whose density is the mean of the knot densities since
     the density is affine in the field.  On a piecewise-linear segment the
     velocity is one field and the density is affine in t, so the rule is
-    exact for Orlicz and Power(1), which are linear in the measure; on
-    solver-native paths the quotient is the midpoint velocity to second order.
+    exact for Orlicz and Power(1), which are linear in the measure; on a
+    smooth path, such as a solver's, the quotient is the midpoint velocity to
+    second order.
     """
     dt = np.diff(path.times)
     weights = 0.5 * (path.densities[:-1] + path.densities[1:]) / path.grid.n**2
@@ -158,9 +159,7 @@ def competitor_paths(
             times.setflags(write=False)
             drawn.append((times, tuple(_knot(start, end, t / duration, rng) for t in times[1:-1])))
         _COMPETITORS[key] = drawn
-    return [
-        PotentialPath(times, (start, *knots, end), "piecewise-linear") for times, knots in drawn
-    ]
+    return [PotentialPath(times, (start, *knots, end)) for times, knots in drawn]
 
 
 def _knot(start: Potential, end: Potential, s: float, rng: np.random.Generator) -> Potential:

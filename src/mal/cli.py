@@ -335,7 +335,7 @@ class VerifyRun:
         mid = make_potential(0.5 * (self.start.field + self.end.field) + bump + lift, g)
         times = np.array([0.0, 0.5 * self.cfg.duration, self.cfg.duration])
         times.setflags(write=False)
-        return PotentialPath(times, (self.start, mid, self.end), "piecewise-linear")
+        return PotentialPath(times, (self.start, mid, self.end))
 
 
 def _noether(run: VerifyRun) -> tuple[VerificationReport, VerificationReport]:

@@ -281,7 +281,7 @@ def solve_epsilon_geodesic(
 
     # one copy per knot: views into the stacks would keep both stacks alive
     knots = (Potential(grid, _frozen(fields[i]), _frozen(lin.rho[i])) for i in range(1, m))
-    path = PotentialPath(_frozen(p.times), (p.endpoint_a, *knots, p.endpoint_b), "solver-native")
+    path = PotentialPath(_frozen(p.times), (p.endpoint_a, *knots, p.endpoint_b))
     return GeodesicSolution(path, lin.norm, p.epsilon, iterations)
 
 

@@ -218,8 +218,8 @@ def integrate(f: GridField, u: Potential) -> float:
 class WeightedValues:
     """Finite weighted value set (v_c, w_c): the distribution data of a field.
 
-    Weights are cell masses, strictly positive and summing to 1 (normalized
-    torus volume) within 1e-12.
+    Values are finite; weights are cell masses, strictly positive and summing
+    to 1 (normalized torus volume) within 1e-12.
     """
 
     values: NDArray[np.float64]
@@ -230,10 +230,13 @@ class WeightedValues:
             raise ValueError("values and weights must be 1-d arrays of equal length")
         if self.values.size == 0:
             raise ValueError("weighted value set must be non-empty")
-        if float(self.weights.min()) <= 0.0:
-            raise ValueError("weights must be strictly positive")
+        if not np.isfinite(self.values).all():
+            raise ValueError("values must be finite")
+        # written so that a NaN weight fails the comparison; an infinite one fails the sum
+        if not float(self.weights.min()) > 0.0:
+            raise ValueError("weights must be finite and strictly positive")
         total = float(self.weights.sum())
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"weights must sum to 1 within 1e-12, got {total!r}")
 
     @property

@@ -28,7 +28,6 @@ from numpy.typing import NDArray
 from .errors import NonConvergence, StepUnstable
 from .grid import Grid, GridField, Potential, _frozen, gradient, make_potential
 
-INTERPOLATIONS = ("piecewise-linear", "solver-native")
 _SUBSTEPS_PER_LEG = 8
 
 
@@ -131,26 +130,25 @@ def inverse(phi: TransportMap) -> TransportMap:
 
 @dataclass(frozen=True, eq=False)
 class PotentialPath:
-    """Discrete path of potentials over increasing knot times.
+    """Discrete path of potentials over finite, increasing knot times.
 
-    interpolation "piecewise-linear" means the path is the linear interpolant
-    of the knots (competitor paths); the density is affine in the field, so
-    every point of a segment between admissible knots is admissible too.
-    "solver-native" marks knots produced by the geodesic solver, differenced
-    centrally.
+    Competitor paths are the linear interpolants of their knots; the density
+    is affine in the field, so every point of a segment between admissible
+    knots is admissible too.  Solver paths sample a smooth geodesic.  Both are
+    differenced by one rule, 2nd-order gradients in time, which is exact on
+    paths linear in t.
     """
 
     times: NDArray[np.float64]
     knots: tuple[Potential, ...]
-    interpolation: str
 
     def __post_init__(self):
-        if self.interpolation not in INTERPOLATIONS:
-            raise ValueError(f"interpolation must be one of {INTERPOLATIONS}")
         if len(self.knots) < 2:
             raise ValueError("a path needs at least two knots")
         if self.times.shape != (len(self.knots),):
             raise ValueError("need exactly one time per knot")
+        if not np.isfinite(self.times).all():
+            raise ValueError("knot times must be finite")
         if not np.all(np.diff(self.times) > 0):
             raise ValueError("times must be strictly increasing")
         g = self.knots[0].grid
@@ -178,30 +176,22 @@ class PotentialPath:
         return float(steps[0])
 
     def time_derivative(self, stack: NDArray[np.float64]) -> NDArray[np.float64]:
-        """Per-knot time derivative of a knot stack, differenced as the path is.
+        """Per-knot time derivative of a knot stack by 2nd-order gradients.
 
-        Piecewise-linear paths take the right quotient at every knot and the
-        left quotient at the final one; solver-native paths take 2nd-order
-        gradients.
+        Exact on stacks quadratic in t; one-sided, the one quotient, on a
+        two-knot path.
         """
-        if self.interpolation == "piecewise-linear":
-            quot = _interval_quotients(stack, self.times)
-            return np.concatenate([quot, quot[-1:]], axis=0)
-        return np.gradient(stack, self.times, axis=0, edge_order=2)
+        return np.gradient(stack, self.times, axis=0, edge_order=min(2, len(self.times) - 1))
 
     @cached_property
     def interval_velocity(self) -> NDArray[np.float64]:
         """One difference quotient (u_{i+1} - u_i) / (t_{i+1} - t_i) per interval."""
-        return _frozen(_interval_quotients(self.fields, self.times))
+        return _frozen(np.diff(self.fields, axis=0) / np.diff(self.times)[:, None, None])
 
     @cached_property
     def knot_velocity(self) -> NDArray[np.float64]:
         """One velocity field per knot, by time_derivative."""
         return _frozen(self.time_derivative(self.fields))
-
-
-def _interval_quotients(stack: NDArray[np.float64], times: NDArray[np.float64]) -> NDArray[np.float64]:
-    return np.diff(stack, axis=0) / np.diff(times)[:, None, None]
 
 
 def centered_differences(stack: NDArray[np.float64], dt: float) -> tuple[NDArray, NDArray]:
@@ -222,17 +212,7 @@ def linear_path(
     for si in s[1:-1]:
         knots.append(make_potential((1.0 - si) * u_a.field + si * u_b.field, g))
     knots.append(u_b)
-    return PotentialPath(_frozen(times), tuple(knots), "piecewise-linear")
-
-
-def _interval_velocity_fields(path: PotentialPath) -> tuple[NDArray, NDArray]:
-    """Transported vector field -(1/2) grad udot at the left and right ends of each interval."""
-    dens = path.densities
-    if path.interpolation == "piecewise-linear":
-        f = -0.5 * np.stack(gradient(path.interval_velocity, path.grid))
-        return f / dens[:-1], f / dens[1:]
-    w = -0.5 * np.stack(gradient(path.knot_velocity, path.grid)) / dens
-    return w[:, :-1], w[:, 1:]
+    return PotentialPath(_frozen(times), tuple(knots))
 
 
 def _advance_rk4(p, sample, t0, dt):
@@ -276,14 +256,17 @@ def _flow_positions(grid, left, right, t_knots, substeps):
 def transport_flow(path: PotentialPath, substeps: int = 4) -> list[TransportMap]:
     """Parallel-transport maps phi(t_i) along the path; phi(t_0) is the identity.
 
+    The field -(1/2) grad udot / rho is sampled at every knot and interpolated
+    linearly in time between knots.
+
     Raises:
         StepUnstable: if a substep would move a particle more than one cell.
     """
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
     g = path.grid
-    left, right = _interval_velocity_fields(path)
-    flow = _flow_positions(g, left, right, path.times, substeps)
+    w = -0.5 * np.stack(gradient(path.knot_velocity, g)) / path.densities
+    flow = _flow_positions(g, w[:, :-1], w[:, 1:], path.times, substeps)
     return [TransportMap.identity(g)] + [TransportMap.from_displacement(g, d) for d in flow]
 
 
@@ -297,9 +280,8 @@ def pullback(xi: GridField, phi: TransportMap) -> GridField:
 def covariant_derivative(path: PotentialPath, fields: NDArray[np.float64]) -> NDArray[np.float64]:
     """Covariant time derivative of a field along a path, per knot.
 
-    Returns xidot(t) - (1/2) (d udot(t), d xi(t))_{u(t)} with xidot and udot by
-    the differencing matching the path's interpolation (right quotients for
-    piecewise-linear, 2nd-order gradients for solver-native).
+    Returns xidot(t) - (1/2) (d udot(t), d xi(t))_{u(t)} with xidot and udot
+    both by the path's time_derivative.
     """
     fields = np.asarray(fields, dtype=float)
     if fields.shape != path.fields.shape:

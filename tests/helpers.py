@@ -1,13 +1,14 @@
 """Shared generators and oracles for tests: exact-arithmetic weighted sets, small
 fields, stand-in and recording Krylov solvers, the Newton operators composed
-from stencils, and the composition of two transport maps."""
+from stencils, the composition of two transport maps, and transport along
+piecewise-linear paths segment by segment."""
 
 import numpy as np
 import scipy.fft
 from scipy.sparse.linalg import LinearOperator
 
 from mal.grid import fourier_symbols, gradient, laplacian
-from mal.transport import TransportMap, centered_differences, interp_at
+from mal.transport import TransportMap, _flow_positions, centered_differences, interp_at
 
 
 def compose(after, before):
@@ -15,6 +16,18 @@ def compose(after, before):
     g = before.grid
     disp = before.disp + interp_at(after.disp, before.forward(), g)
     return TransportMap.from_displacement(g, disp)
+
+
+def segment_transport_displacements(path, substeps):
+    """Transport displacements at the knots after the first, one field per segment.
+
+    Each segment of a piecewise-linear path carries f = -(1/2) grad of its
+    difference quotient, sampled as f / rho at its start knot and at its end
+    knot and interpolated linearly between them.
+    """
+    f = -0.5 * np.stack(gradient(path.interval_velocity, path.grid))
+    dens = path.densities
+    return list(_flow_positions(path.grid, f / dens[:-1], f / dens[1:], path.times, substeps))
 
 
 def dyadic_weighted(rng, k, denom_pow=10, value_span=16):

@@ -41,11 +41,11 @@ def _counting(fn, calls):
 
 
 def native_scalar_path(grid, profile, intervals):
-    """Solver-native path of constants u(t) = profile(t) on [0, 1]."""
+    """Path of constants u(t) = profile(t) at uniform knots on [0, 1]."""
     times = np.linspace(0.0, 1.0, intervals + 1)
     knots = tuple(constant_potential(grid, profile(t)) for t in times)
     times.setflags(write=False)
-    return PotentialPath(times, knots, "solver-native")
+    return PotentialPath(times, knots)
 
 
 def quadratic_lagrangian():
@@ -119,7 +119,7 @@ class TestPathAction:
             constant_potential(g, 0.2),
         )
         times.setflags(write=False)
-        path = PotentialPath(times, knots, "piecewise-linear")
+        path = PotentialPath(times, knots)
         expected = 0.25 * (0.6 / 0.25) + 0.75 * (0.4 / 0.75)
         assert path_action(Power(1.0), path) == pytest.approx(expected, abs=1e-12)
 
@@ -272,7 +272,6 @@ class TestCompetitorPaths:
         for p in competitor_paths(u_a, u_b, 1.0, 4, seed=1):
             assert len(p.knots) == 6
             assert p.knots[0] is u_a and p.knots[-1] is u_b
-            assert p.interpolation == "piecewise-linear"
 
     def test_seed_determinism(self):
         g = Grid(16)
@@ -447,9 +446,7 @@ class TestVerifyLeastAction:
         u_b = constant_potential(g, 1.0)
         times = np.array([0.0, 0.3, 1.0])
         times.setflags(write=False)
-        competitor = PotentialPath(
-            times, (u_a, constant_potential(g, 0.7), u_b), "piecewise-linear"
-        )
+        competitor = PotentialPath(times, (u_a, constant_potential(g, 0.7), u_b))
         hand = 0.3 * (0.7 / 0.3) ** 2 + 0.7 * (0.3 / 0.7) ** 2
         assert path_action(spec, competitor) == pytest.approx(hand, abs=1e-12)
         q = LeastActionQuery(u_a, u_b, 1.0, spec, time_steps=8)
@@ -609,6 +606,20 @@ class TestJacobiConvexity:
         assert report.passed
         assert report.worst == 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field_rejected(self, bad):
+        g = Grid(8)
+        p = EpsGeodesicProblem(
+            constant_potential(g, 0.0), constant_potential(g, 0.5), (0.0, 1.0), 0.5, time_steps=8
+        )
+        zero = np.zeros((g.n, g.n))
+        field = np.full((len(p.times), g.n, g.n), bad)
+        sol = solve_epsilon_geodesic(p)
+        with pytest.raises(ValueError, match="finite"):
+            verify_jacobi_convexity(Power(1.0), p, zero, zero, solution=sol, field=field)
+        with pytest.raises(ValueError, match="finite"):
+            midpoint_convexity_margin(Power(2.0), sol.path, field)
+
     @pytest.mark.parametrize("eps", [1.0, 0.1, 0.01])
     def test_generic_directions_all_specs(self, eps):
         g = Grid(16)
@@ -692,7 +703,7 @@ class TestActionConvexity:
         other = linear_path(constant_potential(g, 0.0), constant_potential(g, 1.0), 0.0, 2.0, 4)
         times = np.array([0.0, 0.25, 0.5, 1.0])
         times.setflags(write=False)
-        uneven = PotentialPath(times, tuple(constant_potential(g, t) for t in times), "piecewise-linear")
+        uneven = PotentialPath(times, tuple(constant_potential(g, t) for t in times))
         with pytest.raises(ValueError, match="share their knot times"):
             verify_action_convexity(joining(path, other, Power(1.0)), path, other, 1)
         with pytest.raises(ValueError, match="three sample times"):

@@ -20,6 +20,7 @@ import mal.geodesics
 from mal.cli import (
     CONFIG_SCHEMA,
     ConfigError,
+    VerifyRun,
     _concavity_control,
     _write_field_csv,
     build_fixture,
@@ -27,6 +28,7 @@ from mal.cli import (
     parse_config,
     parse_lagrangian,
 )
+from mal.action import verify_noether
 from mal.errors import GenerationFailed
 from mal.grid import Grid, make_potential
 from mal.lagrangians import LorentzWeak, Orlicz, Power, SupFamily
@@ -447,6 +449,20 @@ class TestVerify:
             assert rec["pass"] is True
         checks = {rec["check"] for rec in records}
         assert checks == {"primary", "negative-control"}
+
+    @pytest.mark.parametrize("scheme", ["spectral", "central"])
+    @pytest.mark.parametrize("n", [4, 8, 16, 32, 64])
+    def test_noether_control_fails_at_every_resolution(self, tmp_path, n, scheme):
+        path = band_limited_config(
+            tmp_path,
+            **{"n = 8": f"n = {n}", "scheme = spectral": f"scheme = {scheme}",
+               "max_mode = 2": f"max_mode = {min(2, n // 2 - 1)}"},
+        )
+        cfg = parse_config(str(path))
+        detour = VerifyRun(cfg, *build_fixture(cfg)).detour
+        for form in ("power:p1", "power:p2", "orlicz:p2", "lorentz:a0.5"):
+            report = verify_noether(parse_lagrangian(form, tmp_path), detour, tol=1e-6)
+            assert not report.passed, form
 
     def test_least_action_suite_details(self, tmp_path):
         path = band_limited_config(tmp_path)

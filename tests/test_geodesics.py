@@ -409,7 +409,7 @@ class TestHcmaResidual:
         g = Grid(8)
         times = np.linspace(0.0, 1.0, 5)
         knots = tuple(constant_potential(g, 0.2 * t) for t in times)
-        path = PotentialPath(times, knots, "solver-native")
+        path = PotentialPath(times, knots)
         assert np.max(np.abs(hcma_residual(path))) < 1e-12
 
     def test_scalar_epsilon_path(self):
@@ -418,7 +418,7 @@ class TestHcmaResidual:
         times = np.linspace(0.0, 1.0, 9)
         vals = scalar_epsilon_solution(0.0, 1.0, times, eps)
         knots = tuple(constant_potential(g, v) for v in vals)
-        path = PotentialPath(times, knots, "solver-native")
+        path = PotentialPath(times, knots)
         assert np.max(np.abs(hcma_residual(path) - eps)) < 1e-10
 
     def test_non_geodesic_path_reports_honestly(self):
@@ -426,13 +426,13 @@ class TestHcmaResidual:
         times = np.linspace(0.0, 1.0, 5)
         vals = np.sin(np.pi * times)
         knots = tuple(constant_potential(g, v) for v in vals)
-        path = PotentialPath(times, knots, "solver-native")
+        path = PotentialPath(times, knots)
         assert np.max(np.abs(hcma_residual(path))) > 0.1
 
     def test_needs_three_knots(self):
         g = Grid(8)
         u = constant_potential(g, 0.0)
-        path = PotentialPath(np.array([0.0, 1.0]), (u, u), "solver-native")
+        path = PotentialPath(np.array([0.0, 1.0]), (u, u))
         with pytest.raises(ValueError, match="three knots"):
             hcma_residual(path)
 
@@ -517,7 +517,7 @@ class TestContinuation:
             initials.append(initial)
             fields = levels[len(initials) - 1]
             knots = tuple(make_potential(f, g) for f in fields)
-            return GeodesicSolution(PotentialPath(p.times, knots, "solver-native"), 0.0, p.epsilon, 0)
+            return GeodesicSolution(PotentialPath(p.times, knots), 0.0, p.epsilon, 0)
 
         monkeypatch.setattr(geodesics, "solve_epsilon_geodesic", scripted)
         sols = epsilon_continuation(zero, zero, tol=1e-6, time_steps=4)
@@ -759,8 +759,6 @@ class TestSupDistance:
     def test_known_value(self):
         g = Grid(8)
         times = np.linspace(0.0, 1.0, 3)
-        a = PotentialPath(times, tuple(constant_potential(g, 0.0) for _ in times), "solver-native")
-        b = PotentialPath(
-            times, tuple(constant_potential(g, v) for v in (0.0, 0.25, 0.1)), "solver-native"
-        )
+        a = PotentialPath(times, tuple(constant_potential(g, 0.0) for _ in times))
+        b = PotentialPath(times, tuple(constant_potential(g, v) for v in (0.0, 0.25, 0.1)))
         assert sup_distance(a, b) == pytest.approx(0.25)

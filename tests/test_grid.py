@@ -330,6 +330,18 @@ class TestWeightedValues:
         with pytest.raises(ValueError):
             WeightedValues.from_arrays([], [])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            WeightedValues.from_arrays([1.0, bad], [0.5, 0.5])
+
+    @pytest.mark.parametrize(
+        "weights", [[np.nan, 1.0], [1.0, np.nan], [np.nan, np.nan], [np.inf, 0.5], [0.5, np.inf]]
+    )
+    def test_rejects_non_finite_weights(self, weights):
+        with pytest.raises(ValueError):
+            WeightedValues.from_arrays([1.0, 2.0], weights)
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError, match="equal length"):
             WeightedValues.from_arrays([1.0, 2.0], [1.0])

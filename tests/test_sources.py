@@ -20,3 +20,50 @@ def test_every_imported_name_is_used(module):
             imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used) == []
+
+
+def _walk_outside(node, skip):
+    """Nodes of the tree under node, leaving out the subtree rooted at skip."""
+    if node is not skip:
+        yield node
+        for child in ast.iter_child_nodes(node):
+            yield from _walk_outside(child, skip)
+
+
+def _references(tree, skip=None):
+    """Names a module reads, as a bare name, an attribute or an import."""
+    refs = set()
+    for node in _walk_outside(tree, skip):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs |= {alias.name for alias in node.names}
+    return refs
+
+
+def _private_definitions(tree):
+    """(name, statement) for every module-level _name bound by def, class or assignment."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from ((name, stmt) for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_every_private_name_is_used(module):
+    """Each module-level _name is read somewhere in the package outside its own definition."""
+    trees = {p.name: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    own = trees.pop(module)
+    elsewhere = set().union(*map(_references, trees.values()))
+    unused = [
+        name for name, stmt in _private_definitions(own)
+        if name not in elsewhere | _references(own, skip=stmt)
+    ]
+    assert unused == []

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import compose
+from helpers import compose, segment_transport_displacements
 
 from mal.errors import NonConvergence, StepUnstable
 from mal.fixtures import random_band_limited, random_potential
@@ -26,12 +26,12 @@ from mal.transport import (
 
 def constant_path(grid, value, times):
     u = make_potential(np.full((grid.n, grid.n), value), grid)
-    return PotentialPath(np.asarray(times, dtype=float), (u,) * len(times), "piecewise-linear")
+    return PotentialPath(np.asarray(times, dtype=float), (u,) * len(times))
 
 
-def path_from_fields(grid, times, fields, interpolation="solver-native"):
+def path_from_fields(grid, times, fields):
     knots = tuple(make_potential(f, grid) for f in fields)
-    return PotentialPath(np.asarray(times, dtype=float), knots, interpolation)
+    return PotentialPath(np.asarray(times, dtype=float), knots)
 
 
 def gentle_path(grid, rng, scale=1.0, intervals=8):
@@ -48,31 +48,32 @@ class TestPathValidation:
         g = Grid(8)
         u = make_potential(np.zeros((8, 8)), g)
         with pytest.raises(ValueError, match="two knots"):
-            PotentialPath(np.array([0.0]), (u,), "piecewise-linear")
+            PotentialPath(np.array([0.0]), (u,))
 
     def test_times_must_match_knots(self):
         g = Grid(8)
         u = make_potential(np.zeros((8, 8)), g)
         with pytest.raises(ValueError, match="one time per knot"):
-            PotentialPath(np.array([0.0, 0.5, 1.0]), (u, u), "piecewise-linear")
+            PotentialPath(np.array([0.0, 0.5, 1.0]), (u, u))
 
     def test_times_must_increase(self):
         g = Grid(8)
         u = make_potential(np.zeros((8, 8)), g)
         with pytest.raises(ValueError, match="increasing"):
-            PotentialPath(np.array([0.0, 0.0]), (u, u), "piecewise-linear")
+            PotentialPath(np.array([0.0, 0.0]), (u, u))
 
-    def test_unknown_interpolation(self):
+    @pytest.mark.parametrize("times", [[0.0, np.inf], [-np.inf, 0.0], [0.0, 1.0, np.inf]])
+    def test_times_must_be_finite(self, times):
         g = Grid(8)
         u = make_potential(np.zeros((8, 8)), g)
-        with pytest.raises(ValueError, match="interpolation"):
-            PotentialPath(np.array([0.0, 1.0]), (u, u), "cubic")
+        with pytest.raises(ValueError, match="finite"):
+            PotentialPath(np.array(times), (u,) * len(times))
 
     def test_knots_share_grid(self):
         u = make_potential(np.zeros((8, 8)), Grid(8))
         v = make_potential(np.zeros((8, 8)), Grid(8, "central"))
         with pytest.raises(ValueError, match="grid"):
-            PotentialPath(np.array([0.0, 1.0]), (u, v), "piecewise-linear")
+            PotentialPath(np.array([0.0, 1.0]), (u, v))
 
     def test_orientation_reversing_displacement_rejected(self):
         g = Grid(32)
@@ -103,7 +104,6 @@ class TestVelocity:
             g,
             [0.0, 0.8, big_t],
             [np.zeros((16, 16)), np.full((16, 16), c * 0.4), np.full((16, 16), c)],
-            interpolation="piecewise-linear",
         )
         assert np.max(np.abs(path.interval_velocity - c / big_t)) < 1e-14
 
@@ -115,6 +115,40 @@ class TestVelocity:
         assert v.shape == (6, 8, 8)
         expected = 2.0 * times[:, None, None]
         assert np.max(np.abs(v - expected)) < 1e-12
+
+    def test_kinked_path_velocity_is_quadratic_derivative(self):
+        """At every knot of a kinked three-knot path with uneven times the
+        velocity is the derivative of the quadratic through the knots."""
+        g = Grid(8)
+        rng = np.random.default_rng(29)
+        t0, t1, t2 = times = np.array([0.0, 0.3, 1.0])
+        u0, u1, u2 = fields = [random_potential(g, rng).field for _ in times]
+        path = path_from_fields(g, times, fields)
+
+        def quadratic_derivative(t):
+            return (
+                u0 * (2.0 * t - t1 - t2) / ((t0 - t1) * (t0 - t2))
+                + u1 * (2.0 * t - t0 - t2) / ((t1 - t0) * (t1 - t2))
+                + u2 * (2.0 * t - t0 - t1) / ((t2 - t0) * (t2 - t1))
+            )
+
+        expected = np.stack([quadratic_derivative(t) for t in times])
+        assert np.max(np.abs(path.knot_velocity - expected)) < 1e-13
+
+    def test_two_knot_path_velocity_is_its_quotient(self):
+        g = Grid(8)
+        rng = np.random.default_rng(31)
+        a, b = random_potential(g, rng).field, random_potential(g, rng).field
+        path = path_from_fields(g, [0.2, 0.7], [a, b])
+        quotient = (b - a) / 0.5
+        for v in path.knot_velocity:
+            assert np.max(np.abs(v - quotient)) < 1e-14
+
+    def test_linear_path_knot_velocity_is_its_quotient(self, scheme):
+        path = gentle_path(Grid(32, scheme), np.random.default_rng(37), intervals=8)
+        v, quot = path.knot_velocity, path.interval_velocity
+        assert np.max(np.abs(v[:-1] - quot)) < 1e-14
+        assert np.max(np.abs(v[1:] - quot)) < 1e-14
 
 
 class TestInterpolation:
@@ -182,7 +216,7 @@ class TestTransportFlow:
             times = np.linspace(0.0, 1.0, intervals + 1)
             x, _ = g.coords()
             fields = [t * a * np.cos(2.0 * np.pi * x) for t in times]
-            path = path_from_fields(g, times, fields, interpolation="piecewise-linear")
+            path = path_from_fields(g, times, fields)
             return transport_flow(path, substeps=substeps)[-1]
 
         ref = flow_at_resolution(32, 32)
@@ -208,15 +242,22 @@ class TestTransportFlow:
         rng = np.random.default_rng(23)
         path = gentle_path(g, rng, intervals=2)
         maps = transport_flow(path, substeps=16)
-        tail = PotentialPath(path.times[1:], path.knots[1:], "piecewise-linear")
+        tail = PotentialPath(path.times[1:], path.knots[1:])
         second_leg = transport_flow(tail, substeps=16)[-1]
         assert map_distance(maps[2], compose(second_leg, maps[1])) < 1e-3
+
+    def test_linear_path_matches_per_segment_reference(self, scheme):
+        path = gentle_path(Grid(32, scheme), np.random.default_rng(41), intervals=8)
+        maps = transport_flow(path, substeps=4)
+        assert maps[0].is_identity
+        for phi, disp in zip(maps[1:], segment_transport_displacements(path, substeps=4), strict=True):
+            assert np.max(np.abs(phi.disp - disp)) < 1e-13
 
     def test_step_unstable_raised(self):
         g = Grid(32)
         x, _ = g.coords()
         fields = [np.zeros((32, 32)), 0.02 * np.cos(2.0 * np.pi * x)]
-        path = path_from_fields(g, [0.0, 10.0], fields, interpolation="piecewise-linear")
+        path = path_from_fields(g, [0.0, 10.0], fields)
         with pytest.raises(StepUnstable, match="substeps"):
             transport_flow(path, substeps=1)
 
