@@ -3,7 +3,7 @@
 Modules, which are the API (``from mal import geodesics``):
     grid           discrete torus, Monge-Ampere densities, metric primitives
     rearrangement  decreasing rearrangements, theta transfer, Hardy-Littlewood
-    lagrangians    invariant convex Lagrangians and their property checks
+    lagrangians    invariant convex Lagrangians and the verification report type
     transport      potential paths, parallel transport, Hamiltonian flows
     geodesics      epsilon-geodesic boundary problems and weak limits
     action         path actions, least action, theorem-verification suites

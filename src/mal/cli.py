@@ -502,7 +502,10 @@ def cmd_rearrange(in_path: str, out_path: str) -> int:
         raise ConfigError("rearrange input: values and weights must be finite")
     if min(weights) <= 0.0:
         raise ConfigError("rearrange input: weights must be strictly positive")
-    step = rearrange_values(np.asarray(values), np.asarray(weights))
+    try:
+        step = rearrange_values(np.asarray(values), np.asarray(weights))
+    except ValueError as exc:
+        raise ConfigError(f"rearrange input: {exc}") from None
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["breakpoint", "level"])

@@ -21,10 +21,6 @@ class MassMismatch(MalError):
     """Two weighted value sets that must carry equal total mass do not."""
 
 
-class NotEquidistributed(MalError):
-    """Inputs were required to share a weighted distribution but do not."""
-
-
 class StepUnstable(MalError):
     """A flow substep moved a particle farther than one grid cell."""
 

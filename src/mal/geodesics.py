@@ -22,8 +22,7 @@ sup residual.  Every density comes from grid.ma_density, and the solved path
 is the last iterate with the densities computed for it, none recomputed.
 
 Jacobi fields along an epsilon-geodesic are central differences of
-endpoint-perturbed solution families; the second-order Jacobi equation then
-serves as an independent residual check on them.
+endpoint-perturbed solution families.
 """
 
 from __future__ import annotations
@@ -42,15 +41,12 @@ from .grid import (
     GridField,
     Potential,
     _frozen,
-    dx,
-    dy,
     fourier_symbols,
     gradient,
     ma_density,
     make_potential,
-    poisson_bracket,
 )
-from .transport import PotentialPath, centered_differences, covariant_derivative
+from .transport import PotentialPath, centered_differences
 
 _LINE_SEARCH_HALVINGS = 30
 _MAX_LEVELS = 60
@@ -352,14 +348,6 @@ def hcma_residual(path: PotentialPath) -> NDArray[np.float64]:
     return path.densities[1:-1] * lin.res
 
 
-def time_convexity_margin(path: PotentialPath) -> float:
-    """Min over interior knots and cells of the second time difference."""
-    if len(path.knots) < 3:
-        raise ValueError("need at least three knots")
-    _, second = centered_differences(path.fields, path.uniform_step)
-    return float(second.min())
-
-
 def sup_distance(a: PotentialPath, b: PotentialPath) -> float:
     """Sup over knots and cells of the field difference."""
     return float(np.abs(a.fields - b.fields).max())
@@ -394,45 +382,3 @@ def jacobi_field(
     minus = solve_epsilon_geodesic(shifted(-1.0), initial=plus.path.fields - 2.0 * delta * ramp)
     return (plus.path.fields - minus.path.fields) / (2.0 * delta)
 
-
-def jacobi_residual(sol: GeodesicSolution, xi: NDArray[np.float64]) -> float:
-    """Sup norm of the linearized geodesic equation applied to xi.
-
-    The discrete equation checked is
-
-        rho_u grad_t^2 xi = (1/4){{udot, xi}, udot} rho_u
-                            - (eps/2) div(F(u) grad xi),
-
-    with grad_t the path's covariant derivative applied twice (its interior
-    quotients are centered, so knots 2 .. m-2 of grad_t^2 xi see no one-sided
-    edge quotient), the Poisson brackets from the grid operations, and
-    F = 1/rho_u.
-
-    The sup runs over knots in the middle third of the interval.  Endpoint
-    data is only finitely compatible with the equation, so the outermost
-    knots carry a persistent layer in higher time derivatives; interior
-    consistency at the nominal order holds away from it.
-    """
-    path = sol.path
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != path.fields.shape:
-        raise ValueError("xi must provide one field per knot")
-    m = len(path.knots) - 1
-    if m < 4:
-        raise ValueError("need at least four time intervals")
-    g = path.grid
-    knots = slice(max((m + 2) // 3, 2), min((2 * m) // 3, m - 2) + 1)
-    second = covariant_derivative(path, covariant_derivative(path, xi))[knots]
-    udot = path.knot_velocity[knots]
-    bracket = np.empty_like(second)
-    div_term = np.empty_like(second)
-    for j, i in enumerate(range(knots.start, knots.stop)):
-        u = path.knots[i]
-        inner = poisson_bracket(u, udot[j], xi[i])
-        bracket[j] = poisson_bracket(u, inner, udot[j])
-        xx, xy = gradient(xi[i], g)
-        f = 1.0 / u.density
-        div_term[j] = dx(f * xx, g) + dy(f * xy, g)
-    rho = path.densities[knots]
-    residual = rho * second - 0.25 * bracket * rho + 0.5 * sol.epsilon * div_term
-    return float(np.abs(residual).max())

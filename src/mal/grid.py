@@ -51,10 +51,6 @@ class Grid:
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
 
-    @property
-    def cell_width(self) -> float:
-        return 1.0 / self.n
-
     def coords(self) -> tuple[GridField, GridField]:
         """Cell-center coordinate fields (X, Y), each of shape (n, n)."""
         t = np.arange(self.n) / self.n
@@ -195,23 +191,6 @@ def make_potential(f: GridField, grid: Grid) -> Potential:
     if not np.isfinite(f).all():
         raise NotKahler(np.nan)
     return Potential(grid, _frozen(f), _frozen(ma_density(f, grid)))
-
-
-def inner_product_du(u: Potential, xi: GridField, eta: GridField) -> GridField:
-    """Pointwise cometric pairing (d xi, d eta)_u = (xi_x eta_x + xi_y eta_y) / rho_u."""
-    (xx, xy), (ex, ey) = gradient(xi, u.grid), gradient(eta, u.grid)
-    return (xx * ex + xy * ey) / u.density
-
-
-def poisson_bracket(u: Potential, f: GridField, g: GridField) -> GridField:
-    """Poisson bracket {f, g}_u = (f_x g_y - f_y g_x) / rho_u for the symplectic form rho_u dx dy."""
-    (fx, fy), (gx, gy) = gradient(f, u.grid), gradient(g, u.grid)
-    return (fx * gy - fy * gx) / u.density
-
-
-def integrate(f: GridField, u: Potential) -> float:
-    """Integral of f against the measure of u, midpoint rule: sum f rho_u / N^2."""
-    return float(np.sum(f * u.density)) / u.grid.n**2
 
 
 @dataclass(frozen=True, eq=False)

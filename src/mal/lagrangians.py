@@ -12,25 +12,20 @@ structural rather than asserted.  Variants:
     SupFamily        max over pairs (a, f0) of a + the Hardy-Littlewood
                      pairing of f0 with xi
 
-The property checks (invariance, fiber convexity, an empirical Lipschitz
-constant on bounded sets, strong continuity under vanishing-mass perturbation)
-are the testable surface for the structural facts the Lagrangians must obey.
-They return VerificationReport, the one report type of every check in mal.
+VerificationReport is the one report type of every verification experiment in
+mal: a worst value, its tolerance and the inputs that reproduce it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import NotEquidistributed
-from .fixtures import random_potential
-from .grid import Grid, GridField, Potential, WeightedValues
+from .grid import GridField, Potential, WeightedValues
 from .rearrangement import (
     StepFunction,
-    equidistributed,
     hardy_littlewood_sup,
     rearrange_values,
 )
@@ -61,14 +56,6 @@ class Orlicz:
     def positively_homogeneous(self) -> bool:
         return False
 
-    def lipschitz_bound(self, radius: float) -> float:
-        """Lipschitz constant in the sup norm on {sup|xi| <= radius}.
-
-        The steepest sampled slope of chi on [-radius, radius].
-        """
-        t = np.linspace(-radius, radius, 129)
-        return float((np.abs(np.diff(self.chi(t))) / np.diff(t)).max())
-
     def of_weighted(self, wv: WeightedValues) -> float:
         return float(np.dot(self.chi(wv.values), wv.weights))
 
@@ -86,10 +73,6 @@ class LorentzWeak:
     @property
     def positively_homogeneous(self) -> bool:
         return True
-
-    def lipschitz_bound(self, radius: float) -> float:
-        """1 for every radius: 1-Lipschitz in the sup norm on unit mass."""
-        return 1.0
 
     def of_weighted(self, wv: WeightedValues) -> float:
         step = rearrange_values(np.abs(wv.values), wv.weights)
@@ -112,10 +95,6 @@ class Power:
     @property
     def positively_homogeneous(self) -> bool:
         return True
-
-    def lipschitz_bound(self, radius: float) -> float:
-        """1 for every radius: 1-Lipschitz in the sup norm on unit mass."""
-        return 1.0
 
     def of_weighted(self, wv: WeightedValues) -> float:
         s = float(np.dot(np.abs(wv.values) ** self.p, wv.weights))
@@ -145,10 +124,6 @@ class SupFamily:
     def positively_homogeneous(self) -> bool:
         return all(a == 0.0 for a, _ in self.members)
 
-    def lipschitz_bound(self, radius: float) -> float:
-        """The largest integral of |f0*| over the members, for every radius."""
-        return max(float(np.dot(np.abs(f0.levels), np.diff(f0.bounds))) for _, f0 in self.members)
-
     def of_weighted(self, wv: WeightedValues) -> float:
         return max(a + hardy_littlewood_sup(f0, wv) for a, f0 in self.members)
 
@@ -163,7 +138,7 @@ def evaluate(spec: LagrangianSpec, u: Potential, xi: GridField) -> float:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Outcome of one property check or theorem-verification experiment.
+    """Outcome of one theorem-verification experiment.
 
     passed is exactly (worst <= tolerance); provenance records the inputs
     (seeds, resolutions, solver knobs) needed to reproduce the run.
@@ -178,120 +153,3 @@ class VerificationReport:
     def passed(self) -> bool:
         return self.worst <= self.tolerance
 
-
-def check_invariance(
-    spec: LagrangianSpec,
-    u: Potential,
-    xi: GridField,
-    v: Potential,
-    eta: GridField,
-) -> VerificationReport:
-    """Compare evaluate on two equidistributed (field, potential) pairs.
-
-    The pass threshold is 1e-9 amplified by the Lipschitz bound at the data's
-    sup norm, since a distribution discrepancy of that size can move the value
-    by at most that factor.
-
-    Raises:
-        NotEquidistributed: if the two pairs fail the equidistribution test.
-    """
-    tol = 1e-9
-    wa = WeightedValues.from_field(xi, u)
-    wb = WeightedValues.from_field(eta, v)
-    if not equidistributed(wa, wb, tol):
-        raise NotEquidistributed("inputs are not equidistributed within tol")
-    va = spec.of_weighted(wa)
-    vb = spec.of_weighted(wb)
-    disc = abs(va - vb)
-    radius = max(1.0, float(np.abs(xi).max()), float(np.abs(eta).max()))
-    threshold = tol * max(1.0, spec.lipschitz_bound(radius))
-    return VerificationReport("invariance", disc, threshold, {"value_a": va, "value_b": vb})
-
-
-def check_fiber_convexity(
-    spec: LagrangianSpec,
-    u: Potential,
-    xi: GridField,
-    eta: GridField,
-    samples: int = 8,
-    seed: int = 0,
-) -> VerificationReport:
-    """Midpoint and random convex-combination inequality on one fiber."""
-    tol = 1e-12
-    lx = evaluate(spec, u, xi)
-    ly = evaluate(spec, u, eta)
-    lambdas = [0.5, *np.random.default_rng(seed).uniform(0.0, 1.0, size=samples)]
-    worst = -np.inf
-    for lam in lambdas:
-        mixed = evaluate(spec, u, lam * xi + (1.0 - lam) * eta)
-        worst = max(worst, mixed - (lam * lx + (1.0 - lam) * ly))
-    return VerificationReport("fiber-convexity", float(worst), tol, {"samples": len(lambdas)})
-
-
-def estimate_lipschitz(
-    spec: LagrangianSpec,
-    radius: float,
-    trials: int,
-    seed: int,
-) -> float:
-    """Empirical sup of |L(xi) - L(eta)| / sup|xi - eta| on bounded pairs.
-
-    Random potentials and random bounded fields on a 16 x 16 spectral grid,
-    deterministic for a fixed seed; pairs with xi = eta are skipped (zero
-    denominator).
-    """
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
-    grid = Grid(16, "spectral")
-    rng = np.random.default_rng(seed)
-    shape = (grid.n, grid.n)
-    best = 0.0
-    for trial in range(trials):
-        u = random_potential(grid, rng, amplitude=0.02)
-        c = rng.uniform(0.05, 0.5) * radius
-        if trial % 3 == 0:
-            xi = rng.uniform(-radius, radius, size=shape)
-            eta = rng.uniform(-radius, radius, size=shape)
-        elif trial % 3 == 1:
-            # constant shifts of a one-signed field realize the sharp constants
-            xi = rng.uniform(0.0, radius - c, size=shape)
-            eta = xi + c
-        else:
-            xi = rng.uniform(-radius + c, radius - c, size=shape)
-            eta = xi + c * (rng.uniform(size=shape) < 0.5)
-        denom = float(np.abs(xi - eta).max())
-        if denom == 0.0:
-            continue
-        ratio = abs(evaluate(spec, u, xi) - evaluate(spec, u, eta)) / denom
-        best = max(best, ratio)
-    return best
-
-
-def check_strong_continuity(
-    spec: LagrangianSpec,
-    u: Potential,
-    xi: GridField,
-    perturbations: Sequence[GridField],
-    tol: float = 1e-3,
-    tol_mass: float = 1e-3,
-) -> VerificationReport:
-    """Evaluate differences along a vanishing-support perturbation schedule.
-
-    Each perturbed field differs from xi on a cell set whose mu_u-mass m_k
-    should shrink along the schedule; passes when every difference with
-    m_k < tol_mass stays below tol.
-    """
-    weights = u.density / u.grid.n**2
-    base = evaluate(spec, u, xi)
-    masses = []
-    diffs = []
-    for pert in perturbations:
-        masses.append(float(weights[np.asarray(pert) != xi].sum()))
-        diffs.append(abs(evaluate(spec, u, pert) - base))
-    small = [d for m, d in zip(masses, diffs) if m < tol_mass]
-    return VerificationReport(
-        "strong-continuity",
-        max(small) if small else np.inf,
-        tol,
-        {"masses": masses, "differences": diffs},
-    )

@@ -60,10 +60,6 @@ class StepFunction:
         idx = np.clip(idx, 0, self.levels.size - 1)
         return self.levels[idx]
 
-    def integral(self) -> float:
-        """Integral over (0, M]."""
-        return float(np.dot(self.levels, np.diff(self.bounds)))
-
     def prefix_integrals(self) -> NDArray[np.float64]:
         """Cumulative integral at each bound; starts at 0, length k + 1."""
         out = np.empty(self.bounds.size)
@@ -76,7 +72,8 @@ def rearrange_values(values, weights) -> StepFunction:
     """Decreasing rearrangement of an arbitrary positive-mass weighted set.
 
     Sort-based; ties between equal values merge into a single step so the
-    levels are strictly decreasing.
+    levels are strictly decreasing.  Weights whose running sum in that order
+    overflows are rejected.
     """
     values = np.ravel(np.asarray(values, dtype=float))
     weights = np.ravel(np.asarray(weights, dtype=float))
@@ -90,7 +87,10 @@ def rearrange_values(values, weights) -> StepFunction:
     # last index of each run of equal values
     last = np.flatnonzero(np.diff(v) != 0.0)
     ends = np.concatenate([last, [v.size - 1]])
-    cum = np.cumsum(w)
+    with np.errstate(over="ignore"):
+        cum = np.cumsum(w)
+    if not np.isfinite(cum[-1]):
+        raise ValueError("total weight overflows")
     bounds = np.concatenate([[0.0], cum[ends]])
     return StepFunction(_frozen(bounds), _frozen(v[ends]))
 
@@ -116,8 +116,12 @@ def equidistributed(a: WeightedValues, b: WeightedValues, tol: float = 1e-9) -> 
     narrower than tol are slivers from breakpoint misalignment and are ignored.
 
     Raises:
+        ValueError: unless 0 <= tol < inf.
         MassMismatch: if the total masses differ by more than tol.
     """
+    # written so that a NaN tol, which fails every comparison, is rejected too
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
     if abs(a.total_mass - b.total_mass) > tol:
         raise MassMismatch(
             f"total masses {a.total_mass!r} and {b.total_mass!r} differ by more than {tol}"
@@ -182,26 +186,6 @@ def theta_map(wv: WeightedValues, tie_break=None) -> ThetaMap:
     order = np.array(order, dtype=np.intp)
     order.setflags(write=False)
     return ThetaMap(order, _frozen(bounds))
-
-
-def similarly_ordered(g, h) -> bool:
-    """Whether (g(x) - g(y)) (h(x) - h(y)) >= 0 for all cell pairs x, y.
-
-    g and h are array-likes of values on the same cell set, flattened.
-    Sort-based, O(k log k): after sorting by g, every h-value in a lower
-    g-group must not exceed any h-value in a higher g-group.
-    """
-    g = np.ravel(np.asarray(g, dtype=float))
-    h = np.ravel(np.asarray(h, dtype=float))
-    if g.shape != h.shape:
-        raise ValueError("fields must have equal size")
-    order = np.argsort(g, kind="stable")
-    gs = g[order]
-    hs = h[order]
-    starts = np.concatenate([[0], np.flatnonzero(np.diff(gs) != 0.0) + 1])
-    hmax = np.maximum.reduceat(hs, starts)
-    hmin = np.minimum.reduceat(hs, starts)
-    return bool(np.all(hmax[:-1] <= hmin[1:]))
 
 
 def hardy_littlewood_sup(f0: StepFunction, eta: WeightedValues) -> float:

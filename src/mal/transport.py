@@ -231,7 +231,7 @@ def _flow_positions(grid, left, right, t_knots, substeps):
     of the k knot intervals.  Yields the unwrapped displacement after each
     interval.
     """
-    h = grid.cell_width
+    h = 1.0 / grid.n
     x0 = np.stack(grid.coords())
     p = x0
     for i in range(len(t_knots) - 1):
@@ -275,20 +275,6 @@ def pullback(xi: GridField, phi: TransportMap) -> GridField:
     if phi.is_identity:
         return np.array(xi, dtype=float)
     return interp_at(np.asarray(xi, dtype=float), phi.forward(), phi.grid)
-
-
-def covariant_derivative(path: PotentialPath, fields: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Covariant time derivative of a field along a path, per knot.
-
-    Returns xidot(t) - (1/2) (d udot(t), d xi(t))_{u(t)} with xidot and udot
-    both by the path's time_derivative.
-    """
-    fields = np.asarray(fields, dtype=float)
-    if fields.shape != path.fields.shape:
-        raise ValueError("field stack must provide one field per knot")
-    (ux, uy), (vx, vy) = gradient(path.knot_velocity, path.grid), gradient(fields, path.grid)
-    pairing = (ux * vx + uy * vy) / path.densities
-    return path.time_derivative(fields) - 0.5 * pairing
 
 
 def _hamiltonian_velocity(zeta_frames: NDArray, u: Potential, times: NDArray) -> NDArray:

@@ -638,6 +638,12 @@ class TestRearrange:
             code, _ = self.run(tmp_path, rows)
             assert code == 3
 
+    def test_overflowing_total_weight_exits_three(self, tmp_path, capsys):
+        code, dst = self.run(tmp_path, [(1, 1e308), (2, 1e308)])
+        assert code == 3
+        assert "config error:" in capsys.readouterr().err
+        assert not dst.exists()
+
     def test_missing_file_exits_three(self, tmp_path):
         code = main(["rearrange", "--in", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o.csv")])
         assert code == 3

@@ -6,7 +6,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import inadmissible_lgmres, jacobian_oracle, recording_lgmres
+import helpers
+from helpers import (
+    covariant_derivative,
+    inadmissible_lgmres,
+    jacobi_residual,
+    jacobian_oracle,
+    poisson_bracket,
+    recording_lgmres,
+    time_convexity_margin,
+)
 
 from mal import geodesics
 from mal.action import monotone_limit_check
@@ -18,14 +27,12 @@ from mal.geodesics import (
     epsilon_continuation,
     hcma_residual,
     jacobi_field,
-    jacobi_residual,
     solve_epsilon_geodesic,
     sup_distance,
-    time_convexity_margin,
     weak_geodesic,
 )
-from mal.grid import Grid, dx, dy, gradient, laplacian, make_potential, poisson_bracket
-from mal.transport import PotentialPath, covariant_derivative, linear_path
+from mal.grid import Grid, dx, dy, gradient, laplacian, make_potential
+from mal.transport import PotentialPath, linear_path
 
 
 def constant_potential(grid, value):
@@ -666,8 +673,8 @@ class TestJacobiResidual:
         xi = 0.01 * rng.standard_normal(sol.path.fields.shape)
         expected = all_interior_reference(sol, xi)
         calls = []
-        real = geodesics.poisson_bracket
-        monkeypatch.setattr(geodesics, "poisson_bracket", lambda *a: calls.append(a) or real(*a))
+        real = helpers.poisson_bracket
+        monkeypatch.setattr(helpers, "poisson_bracket", lambda *a: calls.append(a) or real(*a))
         assert jacobi_residual(sol, xi) == expected
         assert len(calls) == 2 * 5
 

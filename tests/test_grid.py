@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.fft
 
+from helpers import inner_product_du, integrate, poisson_bracket
+
 from mal.errors import NotKahler
 from mal.fixtures import random_potential
 from mal.grid import (
@@ -12,11 +14,8 @@ from mal.grid import (
     dy,
     fourier_symbols,
     gradient,
-    inner_product_du,
-    integrate,
     laplacian,
     make_potential,
-    poisson_bracket,
 )
 
 EPS = np.finfo(float).eps
@@ -40,10 +39,6 @@ class TestGridType:
     def test_rejects_long_scheme_name(self):
         with pytest.raises(ValueError):
             Grid(16, "central-difference-2nd-order")
-
-    @pytest.mark.parametrize("n", [4, 16, 32, 64])
-    def test_cell_width(self, n):
-        assert Grid(n).cell_width * n == 1.0
 
 
 class TestLaplacian:

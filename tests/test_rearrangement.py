@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dyadic_weighted, equal_weighted
+from helpers import dyadic_weighted, equal_weighted, similarly_ordered
 
 from mal.errors import MassMismatch
 from mal.grid import WeightedValues
@@ -16,7 +16,6 @@ from mal.rearrangement import (
     equidistributed,
     hardy_littlewood_sup,
     rearrange_values,
-    similarly_ordered,
     step_l1_distance,
     theta_map,
 )
@@ -60,7 +59,6 @@ class TestStepFunction:
 
     def test_integral_and_prefix(self):
         s = StepFunction(np.array([0.0, 0.25, 1.0]), np.array([4.0, 1.0]))
-        assert s.integral() == pytest.approx(1.75)
         assert s.prefix_integrals() == pytest.approx([0.0, 1.0, 1.75])
 
 
@@ -74,6 +72,13 @@ class TestDecreasingRearrangement:
         r = decreasing_rearrangement(wv([1.0, 3.0, 2.0], [0.5, 0.3, 0.2]))
         assert r.levels.tolist() == [3.0, 2.0, 1.0]
         assert r.bounds == pytest.approx([0.0, 0.3, 0.5, 1.0])
+
+    @pytest.mark.parametrize("weights", [[1e308, 1e308], [np.finfo(float).max, 2.0**969, 2.0**969]])
+    def test_overflowing_total_weight_rejected(self, weights):
+        # the second set sums to the largest float in input order but
+        # overflows in the descending-value order the rearrangement sums in
+        with pytest.raises(ValueError, match="total weight"):
+            rearrange_values(np.arange(1.0, len(weights) + 1.0), weights)
 
     def test_permutation_invariance_bitwise(self):
         rng = np.random.default_rng(0)
@@ -157,6 +162,13 @@ class TestEquidistributed:
         a = wv([1.0, 2.0], [0.5, 0.5])
         b = wv([2.0, 1.0], [0.5, 0.5])
         assert equidistributed(a, b)
+
+    @pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+    def test_tolerance_validated(self, tol):
+        a = wv([0.0, 1.0], [0.5, 0.5])
+        b = wv([5.0, -3.0], [0.25, 0.75])
+        with pytest.raises(ValueError, match="tol"):
+            equidistributed(a, b, tol=tol)
 
     def test_weight_shift_fails(self):
         a = wv([1.0, 2.0], [0.7, 0.3])
@@ -274,7 +286,7 @@ class TestHardyLittlewood:
         values, weights = dyadic_weighted(rng, 6)
         f0 = rearrange_values(values, weights)
         eta = wv(np.ones(4), np.full(4, 0.25))
-        assert hardy_littlewood_sup(f0, eta) == pytest.approx(f0.integral(), abs=1e-12)
+        assert hardy_littlewood_sup(f0, eta) == pytest.approx(f0.prefix_integrals()[-1], abs=1e-12)
 
     def test_mass_mismatch(self):
         f0 = StepFunction(np.array([0.0, 0.5]), np.array([1.0]))

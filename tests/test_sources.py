@@ -67,3 +67,34 @@ def test_every_private_name_is_used(module):
         if name not in elsewhere | _references(own, skip=stmt)
     ]
     assert unused == []
+
+
+def _public_definitions(tree):
+    """(name, statement) for every public module-level def or class and every public method."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
+            yield stmt.name, stmt
+        if isinstance(stmt, ast.ClassDef):
+            for item in stmt.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield item.name, item
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_every_public_name_is_reached_outside_unit_tests(module):
+    """Each public def, class or method is read by the package outside its own
+    definition, or by the acceptance checks; code only unit tests reach
+    belongs in tests/helpers.py.
+
+    Names are matched as bare names and as attributes alike, so two methods
+    that share a name count as one: a read of either keeps both.
+    """
+    trees = {p.name: ast.parse(p.read_text()) for p in SRC.glob("*.py")}
+    own = trees.pop(module)
+    acceptance = ast.parse((Path(__file__).parent / "test_acceptance.py").read_text())
+    elsewhere = set().union(_references(acceptance), *map(_references, trees.values()))
+    unreached = [
+        name for name, stmt in _public_definitions(own)
+        if name not in elsewhere | _references(own, skip=stmt)
+    ]
+    assert unreached == []

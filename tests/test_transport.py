@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import compose, segment_transport_displacements
+from helpers import compose, covariant_derivative, segment_transport_displacements
 
 from mal.errors import NonConvergence, StepUnstable
 from mal.fixtures import random_band_limited, random_potential
@@ -13,7 +13,6 @@ from mal.transport import (
     TransportMap,
     bilinear_periodic,
     composition_scheme,
-    covariant_derivative,
     inverse,
     linear_path,
     map_distance,
@@ -365,7 +364,7 @@ class TestSymplecticFlow:
         _, y = g.coords()
         zeta = np.cos(2.0 * np.pi * y) / (2.0 * np.pi)
         phi = symplectic_flow(zeta[None], u, substeps=64)
-        h = g.cell_width
+        h = 1.0 / g.n
         if scheme == "spectral":
             speed = np.sin(2.0 * np.pi * y)
         else:
