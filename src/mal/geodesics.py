@@ -8,11 +8,12 @@ per interior time knot,
 with centered time differences on a uniform knot grid.  Solutions for
 epsilon > 0 are produced by a damped matrix-free Newton iteration.  Each
 Newton system J s = -res is right-preconditioned by a constant-coefficient
-space-time operator P that sine (time) and Fourier (space) transforms
-diagonalize: a Krylov method solves J P^-1 y = -res, one operator applied in
-sine x Fourier coefficients with one forward transform, and the step is
-s = P^-1 y.  Krylov starts at the preconditioned step y0 = -res, and its
-relative tolerance loosens near the solution, so no solve is pushed far below
+space-time operator P that real orthonormal bases diagonalize, sine in time
+and the eigenvectors of the grid's second-derivative matrix in space: a
+Krylov method solves J P^-1 y = -res, each apply a chain of small dense
+matrix products along one axis of the stack, and the step is s = P^-1 y.
+Krylov starts at the preconditioned step y0 = -res, and its relative
+tolerance loosens near the solution, so no solve is pushed far below
 solver_tol.  Weak geodesics arise as continuation limits along a halving
 epsilon schedule, each level warm-started by a secant predictor in epsilon.
 
@@ -31,7 +32,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft
 from numpy.typing import NDArray
 from scipy.sparse.linalg import LinearOperator, lgmres
 
@@ -41,8 +41,7 @@ from .grid import (
     GridField,
     Potential,
     _frozen,
-    fourier_symbols,
-    gradient,
+    axis_matrices,
     ma_density,
     make_potential,
 )
@@ -117,7 +116,8 @@ class _Linearization:
 def _linearize(fields, rho, dt, eps, grid) -> _Linearization:
     """Linearize the interior residual at a stack with positive densities rho."""
     udot, second = centered_differences(fields, dt)
-    gx, gy = gradient(udot, grid)
+    d1 = axis_matrices(grid).d1
+    gx, gy = d1 @ udot, udot @ d1.T
     forcing = 0.5 * (gx * gx + gy * gy) + eps
     res = second - forcing / rho[1:-1]
     return _Linearization(res, float(np.abs(res).max()), rho, (gx, gy), forcing)
@@ -148,49 +148,46 @@ def _newton_operators(dt, grid, lin: _Linearization):
 
         J v = D_t^2 v + c lap v - (grad udot . grad vdot) / rho,   c = forcing / (2 rho^2),
 
-    and P = D_t^2 + mean(c) lap is diagonal in sine (time) x Fourier (space)
-    modes.  Since P P^-1 y = y, with w = P^-1 y
+    and P = D_t^2 + mean(c) lap is diagonal in the sine basis (time) times
+    the eigenbasis of the grid's axis matrix d2 along x and along y.  Since
+    P P^-1 y = y, with w = P^-1 y
 
         J P^-1 y = y + (c - mean(c)) lap w - (grad udot . grad wdot) / rho,
 
-    so one apply takes one forward transform of y and three inverse ones.
-    The grid's Fourier symbols are exact for both schemes.
+    so one apply is a chain of small dense matrix products along one axis of
+    the stack at a time, with no transform.
     """
     m_int, n = lin.forcing.shape[0], grid.n
     rho_i = lin.rho[1:-1]
-    sym = fourier_symbols(grid)
+    d1, d2, basis, eigen = axis_matrices(grid)
     s, stacked = _sine_bases(m_int)
     c = lin.forcing / (2.0 * rho_i**2)
     c_mean = float(np.mean(c))
     lam_t = (2.0 * np.cos(np.pi * np.arange(1, m_int + 1) / (m_int + 1)) - 2.0) / dt**2
-    inv_denom = 1.0 / (lam_t[:, None, None] + c_mean * sym.lap)
+    inv_denom = 1.0 / (lam_t[:, None, None] + c_mean * (eigen[:, None] + eigen))
     c_dev = c - c_mean
     # D in _sine_bases is undivided; its 1/(2 dt) is folded in here
     ax, ay = (g / (2.0 * dt * rho_i) for g in lin.grad_udot)
 
-    def in_time(matrix, spec):
-        """matrix applied along the knot axis of a half spectrum."""
-        out = matrix @ spec.reshape(m_int, -1).view(float)
-        return out.view(complex).reshape(-1, n, n // 2 + 1)
+    def in_time(matrix, stack):
+        """matrix applied along the knot axis of a stack."""
+        return (matrix @ stack.reshape(m_int, -1)).reshape(-1, n, n)
 
-    def coefficients(flat):
-        """Sine x Fourier coefficients of P^-1 y."""
-        spec = scipy.fft.rfft2(flat.reshape(m_int, n, n), axes=(-2, -1))
-        return in_time(s, spec) * inv_denom
-
-    def irfft2(spec):
-        return scipy.fft.irfft2(spec, s=(n, n), axes=(-2, -1))
+    def in_space(flat):
+        """Sine coefficients in time, grid values in space, of P^-1 y."""
+        coef = basis.T @ in_time(s, flat) @ basis * inv_denom
+        return basis @ coef @ basis.T
 
     def matvec(flat):
-        # spatial spectra of w = P^-1 y and of its centred time difference
-        both = in_time(stacked, coefficients(flat))
-        w_hat, wdot_hat = both[:m_int], both[m_int:]
-        out = flat.reshape(m_int, n, n) + c_dev * irfft2(sym.lap * w_hat)
-        out -= ax * irfft2(sym.ddx * wdot_hat) + ay * irfft2(sym.ddy * wdot_hat)
+        # w = P^-1 y and its centred time difference
+        both = in_time(stacked, in_space(flat))
+        w, wdot = both[:m_int], both[m_int:]
+        out = flat.reshape(m_int, n, n) + c_dev * (d2 @ w + w @ d2)
+        out -= ax * (d1 @ wdot) + ay * (wdot @ d1.T)
         return out.ravel()
 
     def solve(flat):
-        return irfft2(in_time(s, coefficients(flat)))
+        return in_time(s, in_space(flat))
 
     size = m_int * n * n
     return LinearOperator((size, size), matvec=matvec, dtype=float), solve

@@ -95,6 +95,48 @@ def fourier_symbols(grid: Grid) -> FourierSymbols:
     return table
 
 
+class AxisMatrices(NamedTuple):
+    """Real n x n matrices of a grid's scheme along one axis.
+
+    Both schemes' operators are diagonal in Fourier modes, so along one axis
+    they are circulant: dx f = d1 @ f, dy f = f @ d1.T and laplacian f =
+    d2 @ f + f @ d2, to rounding.
+    d1: the first derivative, with the spectral Nyquist mode zeroed as in
+    ddx.
+    d2: the symmetric second derivative.
+    basis, eigen: d2 = basis @ diag(eigen) @ basis.T with basis orthonormal,
+    from numpy.linalg.eigh.
+    The central d1 and d2 are the integer stencils times n/2 and n^2, so each
+    row sums to exactly 0; the spectral ones come from the 1-D symbols.
+    """
+
+    d1: NDArray[np.float64]
+    d2: NDArray[np.float64]
+    basis: NDArray[np.float64]
+    eigen: NDArray[np.float64]
+
+
+@lru_cache(maxsize=32)
+def axis_matrices(grid: Grid) -> AxisMatrices:
+    """The grid's axis matrices, built once per grid."""
+    n = grid.n
+    if grid.scheme == "spectral":
+        sym = fourier_symbols(grid)
+        # circulant M[i, j] = c[i - j] with c the inverse transform of the symbol
+        shift = (np.arange(n)[:, None] - np.arange(n)) % n
+        d1, d2 = (np.fft.ifft(symbol).real[shift] for symbol in (sym.ddx[:, 0], sym.lap[:, 0]))
+        d2 = 0.5 * (d2 + d2.T)
+    else:
+        up = np.roll(np.eye(n), 1, axis=1)  # (up @ f)[i] = f[i + 1]
+        d1 = (n / 2.0) * (up - up.T)
+        d2 = float(n**2) * (up + up.T - 2.0 * np.eye(n))
+    eigen, basis = np.linalg.eigh(d2)
+    table = AxisMatrices(d1, d2, basis, eigen)
+    for a in table:
+        a.setflags(write=False)
+    return table
+
+
 def _spectral(f: GridField, grid: Grid, *multipliers) -> list[GridField]:
     """One forward real transform of f, one inverse per multiplier."""
     n = grid.n

@@ -42,9 +42,10 @@ class StepFunction:
             raise ValueError("need exactly one more bound than levels")
         if self.bounds[0] != 0.0:
             raise ValueError("first bound must be 0")
-        if not np.all(np.diff(self.bounds) > 0):
+        # neighbours are compared, not subtracted: finite ends can differ by inf
+        if not np.all(self.bounds[1:] > self.bounds[:-1]):
             raise ValueError("bounds must be strictly increasing")
-        if not np.all(np.diff(self.levels) < 0):
+        if not np.all(self.levels[1:] < self.levels[:-1]):
             raise ValueError("levels must be strictly decreasing")
         # with the order checks above, finite ends make every entry finite
         if not np.isfinite([self.bounds[-1], self.levels[0], self.levels[-1]]).all():
@@ -85,7 +86,7 @@ def rearrange_values(values, weights) -> StepFunction:
     v = values[order]
     w = weights[order]
     # last index of each run of equal values
-    last = np.flatnonzero(np.diff(v) != 0.0)
+    last = np.flatnonzero(v[1:] != v[:-1])
     ends = np.concatenate([last, [v.size - 1]])
     with np.errstate(over="ignore"):
         cum = np.cumsum(w)

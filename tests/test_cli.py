@@ -626,6 +626,12 @@ class TestRearrange:
         _, rows = read_rows(dst)
         assert rows == [["1", "4.5"]]
 
+    def test_opposite_extremes(self, tmp_path):
+        code, dst = self.run(tmp_path, [(1e308, 0.5), (-1e308, 0.5)])
+        assert code == 0
+        _, rows = read_rows(dst)
+        assert [(float(b), float(v)) for b, v in rows] == [(0.5, 1e308), (1.0, -1e308)]
+
     def test_zero_weight_exits_three(self, tmp_path):
         code, _ = self.run(tmp_path, [(1, 0.5), (2, 0.0)])
         assert code == 3

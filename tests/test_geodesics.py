@@ -179,6 +179,33 @@ class TestNewtonOperators:
             assert all(nonzero for _, nonzero in applies)
 
 
+class TestNewtonKernels:
+    def test_applies_run_no_transform(self, monkeypatch, scheme):
+        """One J P^-1 apply and one P^-1 solve are matrix products only."""
+        import scipy.fft
+
+        g = Grid(16, scheme)
+        rng = np.random.default_rng(16)
+        a, b = random_potential(g, rng), random_potential(g, rng)
+        lam = np.linspace(0.0, 1.0, 9)[:, None, None]
+        fields = (1.0 - lam) * a.field + lam * b.field
+        rho = 1.0 + 0.5 * laplacian(fields, g)
+        lin = geodesics._linearize(fields, rho, 0.125, 0.3, g)
+        op, precondition = geodesics._newton_operators(0.125, g, lin)
+
+        def transform(*args, **kwargs):
+            raise AssertionError("FFT called")
+
+        for module in (scipy.fft, np.fft):
+            for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
+                         "fftn", "ifftn", "rfftn", "irfftn"):
+                monkeypatch.setattr(module, name, transform)
+        monkeypatch.setattr(scipy.fft, "dst", transform)
+        y = rng.standard_normal(7 * 16 * 16)
+        assert np.isfinite(op.matvec(y)).all()
+        assert np.isfinite(precondition(y)).all()
+
+
 class TestConstantEndpoints:
     @pytest.mark.parametrize("eps", [1.0, 0.1])
     def test_matches_scalar_closed_form(self, scheme, eps):

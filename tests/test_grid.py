@@ -10,6 +10,7 @@ from mal.grid import (
     Grid,
     Potential,
     WeightedValues,
+    axis_matrices,
     dx,
     dy,
     fourier_symbols,
@@ -213,6 +214,45 @@ class TestDerivativesAgainstReference:
         for mult, want in zip(fourier_symbols(g), reference_derivatives(f, n, scheme)):
             got = scipy.fft.irfft2(mult * spec, s=(n, n), axes=(-2, -1))
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestAxisMatrices:
+    """The per-grid axis matrices against the grid's own derivatives."""
+
+    @pytest.mark.parametrize("n", [4, 8, 32, 64])
+    def test_match_grid_derivatives(self, scheme, n):
+        g = Grid(n, scheme)
+        d1, d2, _, _ = axis_matrices(g)
+        f = np.random.default_rng(n).standard_normal((3, n, n))  # full spectrum, Nyquist included
+        pairs = (
+            (d1 @ f, dx(f, g)),
+            (f @ d1.T, dy(f, g)),
+            (d2 @ f + f @ d2, laplacian(f, g)),
+        )
+        for got, want in pairs:
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", [4, 8, 32, 64])
+    def test_orthonormal_eigenbasis(self, scheme, n):
+        _, d2, basis, eigen = axis_matrices(Grid(n, scheme))
+        assert np.array_equal(d2, d2.T)
+        assert np.abs(basis.T @ basis - np.eye(n)).max() <= 1e-13
+        assert np.abs(basis * eigen @ basis.T - d2).max() <= 1e-13 * np.abs(d2).max()
+
+    @pytest.mark.parametrize("n", [4, 8, 32, 64])
+    def test_central_stencils_annihilate_constants_exactly(self, n):
+        d1, d2, _, _ = axis_matrices(Grid(n, "central"))
+        ones = np.ones(n)
+        assert np.array_equal(d1 @ ones, np.zeros(n))
+        assert np.array_equal(d2 @ ones, np.zeros(n))
+
+    def test_read_only_and_cached(self, scheme):
+        g = Grid(8, scheme)
+        table = axis_matrices(g)
+        assert axis_matrices(Grid(8, scheme)) is table
+        for a in table:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
 
 
 class TestInnerProduct:

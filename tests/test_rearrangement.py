@@ -37,6 +37,9 @@ class TestStepFunction:
             StepFunction(np.array([0.0, 0.5, 1.0]), np.array([1.0, 1.0]))
         with pytest.raises(ValueError, match="1-d"):
             StepFunction(np.array([[0.0, 1.0]]), np.array([1.0]))
+        # neighbours whose difference overflows are rejected without a warning
+        with pytest.raises(ValueError, match="increasing"):
+            StepFunction(np.array([0.0, -1e308, 1e308]), np.array([2.0, 1.0]))
 
     @pytest.mark.parametrize("bounds, levels", [
         ([0.0, np.inf], [1.0]),
@@ -126,6 +129,12 @@ class TestDecreasingRearrangement:
     def test_merges_ties(self):
         r = rearrange_values([1.0, 2.0, 1.0, 2.0], [0.25, 0.25, 0.25, 0.25])
         assert r.levels.tolist() == [2.0, 1.0]
+        assert r.bounds.tolist() == [0.0, 0.5, 1.0]
+
+    def test_opposite_extremes_do_not_overflow(self):
+        # their difference is not finite, yet both are finite distinct levels
+        r = rearrange_values([1e308, -1e308, 1e308], [0.25, 0.5, 0.25])
+        assert r.levels.tolist() == [1e308, -1e308]
         assert r.bounds.tolist() == [0.0, 0.5, 1.0]
 
     @settings(derandomize=True, max_examples=200, deadline=None)
