@@ -14,8 +14,17 @@ Krylov method solves J P^-1 y = -res, each apply a chain of small dense
 matrix products along one axis of the stack, and the step is s = P^-1 y.
 Krylov starts at the preconditioned step y0 = -res, and its relative
 tolerance loosens near the solution, so no solve is pushed far below
-solver_tol.  Weak geodesics arise as continuation limits along a halving
-epsilon schedule, each level warm-started by a secant predictor in epsilon.
+solver_tol.
+
+Krylov runs in single precision: its relative tolerance is never below 1e-4,
+which float32 products resolve, so lgmres is handed a float32 system whose
+right-hand side is -res scaled to unit 2-norm, and the step is scaled back in
+float64.  The residual, the line search, every density and every iterate
+stay float64, so the stop test |res|_sup <= solver_tol and the accuracy of
+the solved path do not depend on the Krylov precision.
+
+Weak geodesics arise as continuation limits along a halving epsilon schedule,
+each level warm-started by a secant predictor in epsilon.
 
 Every iterate is admissible: a warm start needs positive interior densities,
 and the line search halves the step until a trial is admissible and lowers the
@@ -52,7 +61,8 @@ _MAX_LEVELS = 60
 _MAX_NEWTON_STEPS = 60
 # Krylov forcing term: rtol = clip(_FORCING * solver_tol / |res|_sup, _RTOL_MIN,
 # _RTOL_MAX).  The factor sits below Kelley's 0.5 because the Newton stop test
-# takes the sup norm of the residual and lgmres the 2-norm.
+# takes the sup norm of the residual and lgmres the 2-norm.  _RTOL_MIN sits
+# well above float32 rounding, which is why Krylov can run in float32.
 _FORCING = 0.1
 _RTOL_MIN = 1e-4
 _RTOL_MAX = 0.1
@@ -116,16 +126,30 @@ class _Linearization:
 def _linearize(fields, rho, dt, eps, grid) -> _Linearization:
     """Linearize the interior residual at a stack with positive densities rho."""
     udot, second = centered_differences(fields, dt)
-    d1 = axis_matrices(grid).d1
-    gx, gy = d1 @ udot, udot @ d1.T
+    d1, d1t = _axis_tables(grid, np.dtype(np.float64))[:2]
+    gx, gy = d1 @ udot, udot @ d1t
     forcing = 0.5 * (gx * gx + gy * gy) + eps
     res = second - forcing / rho[1:-1]
     return _Linearization(res, float(np.abs(res).max()), rho, (gx, gy), forcing)
 
 
+@lru_cache(maxsize=32)
+def _axis_tables(grid: Grid, dtype: np.dtype) -> tuple[NDArray, ...]:
+    """d1, d1^T, d2, basis and basis^T of the grid's axis matrices in dtype.
+
+    The transposes are contiguous copies: a stacked product with a transposed
+    operand runs well below the speed of one with a contiguous matrix.
+    """
+    d1, d2, basis, _ = axis_matrices(grid)
+    tables = tuple(np.array(a, dtype=dtype) for a in (d1, d1.T, d2, basis, basis.T))
+    for a in tables:
+        a.setflags(write=False)
+    return tables
+
+
 @lru_cache(maxsize=16)
-def _sine_bases(m_int: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Orthonormal DST-I matrix S on m_int interior knots, and S stacked on D S.
+def _sine_bases(m_int: int, dtype: np.dtype) -> tuple[NDArray, NDArray]:
+    """Orthonormal DST-I matrix S on m_int interior knots, and S stacked on D S, in dtype.
 
     S is symmetric and its own inverse.  D is the centred difference
     v[i+1] - v[i-1] with v = 0 at both endpoints, so one product with the
@@ -136,9 +160,67 @@ def _sine_bases(m_int: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     s = np.sqrt(2.0 / (m_int + 1)) * np.sin(np.pi * np.outer(k, k) / (m_int + 1))
     padded = np.pad(s, ((1, 1), (0, 0)))
     stacked = np.concatenate([s, padded[2:] - padded[:-2]])
-    for a in (s, stacked):
+    bases = s.astype(dtype), stacked.astype(dtype)
+    for a in bases:
         a.setflags(write=False)
-    return s, stacked
+    return bases
+
+
+class _Applies:
+    """J P^-1 and P^-1 of one Newton step in one precision.
+
+    Holds the grid tables, the sine bases and the step's four stacks in that
+    precision, and writes every product into two (m_int, n, n) work stacks
+    and one (2 m_int, n^2) stack, so an apply allocates only its result.
+    """
+
+    def __init__(self, grid: Grid, stacks, dtype: np.dtype):
+        with np.errstate(over="ignore"):
+            cast = [a.astype(dtype) for a in stacks]
+        if not all(np.isfinite(a).all() for a in cast):
+            raise FloatingPointError(f"a Newton operator stack overflows {dtype}")
+        self.inv_denom, self.c_dev, self.ax, self.ay = cast
+        self.d1, self.d1t, self.d2, self.basis, self.basis_t = _axis_tables(grid, dtype)
+        m_int, n = self.inv_denom.shape[0], grid.n
+        self.s, self.stacked = _sine_bases(m_int, dtype)
+        self.work = np.empty((2, m_int, n, n), dtype)
+        self.both = np.empty((2 * m_int, n * n), dtype)
+
+    def _in_space(self, flat):
+        """Sine coefficients in time, grid values in space, of P^-1 y, in work[0]."""
+        a, b = self.work
+        np.matmul(self.s, flat.reshape(len(a), -1), out=a.reshape(len(a), -1))
+        np.matmul(self.basis_t, a, out=b)
+        np.matmul(b, self.basis, out=a)
+        a *= self.inv_denom
+        np.matmul(self.basis, a, out=b)
+        np.matmul(b, self.basis_t, out=a)
+        return a
+
+    def matvec(self, flat):
+        coef = self._in_space(flat)
+        a, b = self.work
+        m_int, n = a.shape[:2]
+        # w = P^-1 y and its centred time difference
+        np.matmul(self.stacked, coef.reshape(m_int, -1), out=self.both)
+        w, wdot = self.both.reshape(2, m_int, n, n)
+        np.matmul(self.d2, w, out=a)
+        np.matmul(w, self.d2, out=b)
+        a += b
+        a *= self.c_dev
+        np.matmul(self.d1, wdot, out=b)
+        b *= self.ax
+        a -= b
+        np.matmul(wdot, self.d1t, out=b)
+        b *= self.ay
+        a -= b
+        # a fresh result: lgmres keeps the vectors an apply returns
+        return flat.ravel() + a.ravel()
+
+    def solve(self, flat):
+        coef = self._in_space(flat)
+        m_int, n = coef.shape[:2]
+        return (self.s @ coef.reshape(m_int, -1)).reshape(-1, n, n)
 
 
 def _newton_operators(dt, grid, lin: _Linearization):
@@ -156,41 +238,43 @@ def _newton_operators(dt, grid, lin: _Linearization):
 
     so one apply is a chain of small dense matrix products along one axis of
     the stack at a time, with no transform.
+
+    Precision: both operators apply in the precision of the vector they are
+    given and return a result of that dtype.  The step's four stacks (the
+    spectral denominators, c - mean(c) and the two velocity-gradient weights)
+    are formed in float64 and cast once per precision, on its first apply;
+    float32, the dtype of the returned LinearOperator and the one lgmres
+    works in, is cast here.
+
+    Raises:
+        FloatingPointError: if a stack does not fit in float32.
     """
-    m_int, n = lin.forcing.shape[0], grid.n
+    m_int = lin.forcing.shape[0]
     rho_i = lin.rho[1:-1]
-    d1, d2, basis, eigen = axis_matrices(grid)
-    s, stacked = _sine_bases(m_int)
+    eigen = axis_matrices(grid).eigen
     c = lin.forcing / (2.0 * rho_i**2)
     c_mean = float(np.mean(c))
     lam_t = (2.0 * np.cos(np.pi * np.arange(1, m_int + 1) / (m_int + 1)) - 2.0) / dt**2
-    inv_denom = 1.0 / (lam_t[:, None, None] + c_mean * (eigen[:, None] + eigen))
-    c_dev = c - c_mean
-    # D in _sine_bases is undivided; its 1/(2 dt) is folded in here
-    ax, ay = (g / (2.0 * dt * rho_i) for g in lin.grad_udot)
+    stacks = (
+        1.0 / (lam_t[:, None, None] + c_mean * (eigen[:, None] + eigen)),
+        c - c_mean,
+        # D in _sine_bases is undivided; its 1/(2 dt) is folded in here
+        *(g / (2.0 * dt * rho_i) for g in lin.grad_udot),
+    )
+    applies = {}
 
-    def in_time(matrix, stack):
-        """matrix applied along the knot axis of a stack."""
-        return (matrix @ stack.reshape(m_int, -1)).reshape(-1, n, n)
+    def in_precision(dtype):
+        if dtype not in applies:
+            applies[dtype] = _Applies(grid, stacks, dtype)
+        return applies[dtype]
 
-    def in_space(flat):
-        """Sine coefficients in time, grid values in space, of P^-1 y."""
-        coef = basis.T @ in_time(s, flat) @ basis * inv_denom
-        return basis @ coef @ basis.T
-
-    def matvec(flat):
-        # w = P^-1 y and its centred time difference
-        both = in_time(stacked, in_space(flat))
-        w, wdot = both[:m_int], both[m_int:]
-        out = flat.reshape(m_int, n, n) + c_dev * (d2 @ w + w @ d2)
-        out -= ax * (d1 @ wdot) + ay * (wdot @ d1.T)
-        return out.ravel()
-
-    def solve(flat):
-        return in_time(s, in_space(flat))
-
-    size = m_int * n * n
-    return LinearOperator((size, size), matvec=matvec, dtype=float), solve
+    # lgmres works in float32, so a stack that overflows it fails here, before any solve
+    in_precision(np.dtype(np.float32))
+    size = lin.forcing.size
+    op = LinearOperator(
+        (size, size), matvec=lambda y: in_precision(y.dtype).matvec(y), dtype=np.float32
+    )
+    return op, lambda y: in_precision(y.dtype).solve(y)
 
 
 def _default_initial(p: EpsGeodesicProblem) -> NDArray[np.float64]:
@@ -216,13 +300,15 @@ def solve_epsilon_geodesic(
     i.e. at the preconditioned step P^-1(-res), so no apply sees the zero
     vector.  Its relative tolerance is 1e-4 far from the solution and looser
     near it, 0.1 solver_tol / |res|_sup capped at 0.1, so the last step of a
-    solve is not solved past what solver_tol asks.
+    solve is not solved past what solver_tol asks.  lgmres works in float32
+    on -res scaled to unit 2-norm; the step P^-1 y is scaled back in float64.
 
     Raises:
         NotKahler: if the warm start has a non-positive interior density.
-        NonConvergence: if the starting residual is not finite, 60 Newton
-            steps leave the residual above tol, or a line search finds no
-            admissible decrease.
+        NonConvergence: if the starting residual is not finite, a Newton
+            operator does not fit in float32, 60 Newton steps leave the
+            residual above tol, or a line search finds no admissible
+            decrease.
         PositivityLoss: if even the shortest trial of a line search is
             inadmissible, at that trial's smallest density.
     """
@@ -248,11 +334,19 @@ def solve_epsilon_geodesic(
     while lin.norm > p.solver_tol:
         if iterations == _MAX_NEWTON_STEPS:
             raise NonConvergence(iterations, lin.norm)
+        try:
+            op, precondition = _newton_operators(dt, grid, lin)
+        except FloatingPointError:
+            raise NonConvergence(iterations, lin.norm) from None
         iterations += 1
-        op, precondition = _newton_operators(dt, grid, lin)
         rtol = min(_RTOL_MAX, max(_RTOL_MIN, _FORCING * p.solver_tol / lin.norm))
-        y, _ = lgmres(op, -lin.res.ravel(), x0="Mb", rtol=rtol, atol=0.0, maxiter=40)
-        step = precondition(y)
+        # lgmres gets -res at unit 2-norm in float32 and the step is scaled back
+        # in float64; dividing by the sup norm first keeps the 2-norm finite
+        b = -lin.res.ravel() / lin.norm
+        b_norm = float(np.linalg.norm(b))
+        y, _ = lgmres(op, (b / b_norm).astype(np.float32), x0="Mb", rtol=rtol, atol=0.0,
+                      maxiter=40)
+        step = lin.norm * (b_norm * precondition(y).astype(np.float64))
 
         # rho is affine in alpha, so if the shortest trial is inadmissible all were
         alpha = 1.0
@@ -362,10 +456,15 @@ def jacobi_field(
     given directions and returns the difference quotient stack.
 
     Raises:
+        ValueError: if a direction is not a finite (n, n) field, or delta is
+            not finite and positive; checked before any solve.
         NotKahler: if a shifted endpoint or a warm start is not admissible.
     """
     if not 0 < delta < np.inf:
         raise ValueError("delta must be finite and positive")
+    for direction in (direction_a, direction_b):
+        if np.shape(direction) != (p.grid.n, p.grid.n) or not np.isfinite(direction).all():
+            raise ValueError("each direction must be a finite field of shape (n, n)")
 
     def shifted(sign):
         ea = make_potential(p.endpoint_a.field + sign * delta * direction_a, p.grid)

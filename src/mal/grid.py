@@ -21,7 +21,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-import scipy.fft
 from numpy.typing import NDArray
 
 from .errors import NotKahler
@@ -140,8 +139,8 @@ def axis_matrices(grid: Grid) -> AxisMatrices:
 def _spectral(f: GridField, grid: Grid, *multipliers) -> list[GridField]:
     """One forward real transform of f, one inverse per multiplier."""
     n = grid.n
-    spec = scipy.fft.rfft2(f, axes=(-2, -1))
-    return [scipy.fft.irfft2(m * spec, s=(n, n), axes=(-2, -1)) for m in multipliers]
+    spec = np.fft.rfft2(f, axes=(-2, -1))
+    return [np.fft.irfft2(m * spec, s=(n, n), axes=(-2, -1)) for m in multipliers]
 
 
 def dx(f: GridField, grid: Grid) -> GridField:

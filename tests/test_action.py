@@ -391,8 +391,9 @@ class TestCompetitorPaths:
         g = Grid(16)
         u = constant_potential(g, 0.0)
         transforms, densities = [], []
-        for name in ("fft2", "ifft2", "rfft2", "irfft2"):
-            monkeypatch.setattr(scipy.fft, name, _counting(getattr(scipy.fft, name), transforms))
+        for module in (np.fft, scipy.fft):
+            for name in ("fft2", "ifft2", "rfft2", "irfft2"):
+                monkeypatch.setattr(module, name, _counting(getattr(module, name), transforms))
         monkeypatch.setattr("mal.grid.ma_density", _counting(ma_density, densities))
         paths = competitor_paths(u, u, 1.0, 3, seed=6)
         assert sum(len(p.knots) - 2 for p in paths) == 3 * 4

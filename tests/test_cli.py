@@ -4,8 +4,11 @@ import configparser
 import contextlib
 import csv
 import json
+import os
 import re
 import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -654,3 +657,11 @@ class TestRearrange:
         code = main(["rearrange", "--in", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o.csv")])
         assert code == 3
 
+
+def test_import_leaves_scipy_fft_unloaded():
+    """The command line's import chain loads no scipy.fft: numpy.fft does the transforms."""
+    env = dict(os.environ, PYTHONPATH=str(Path(mal.cli.__file__).parents[1]))
+    child = "import sys, mal.cli; print('scipy.fft' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert done.stdout.strip() == "False"

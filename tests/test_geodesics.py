@@ -179,6 +179,78 @@ class TestNewtonOperators:
             assert all(nonzero for _, nonzero in applies)
 
 
+class TestSinglePrecisionKrylov:
+    """lgmres works in float32 on a unit right-hand side; residuals and iterates stay float64."""
+
+    def test_float32_apply_matches_float64(self, scheme):
+        g = Grid(32, scheme)
+        rng = np.random.default_rng(32)
+        a, b, c = (random_potential(g, rng) for _ in range(3))
+        lam = np.linspace(0.0, 1.0, 17)[:, None, None]
+        fields = (1.0 - lam) * a.field + lam * b.field + np.sin(np.pi * lam) * c.field
+        rho = 1.0 + 0.5 * laplacian(fields, g)
+        lin = geodesics._linearize(fields, rho, 1.0 / 16, 0.3, g)
+        op, precondition = geodesics._newton_operators(1.0 / 16, g, lin)
+        y = rng.standard_normal(15 * 32 * 32).astype(np.float32)
+        # each output entry passes through about ten chained products of
+        # length n, so its rounding error stays within n float32 epsilons
+        bound = g.n * np.finfo(np.float32).eps
+        for apply in (op.matvec, precondition):
+            single, double = apply(y), apply(y.astype(np.float64))
+            assert single.dtype == np.float32 and double.dtype == np.float64
+            assert np.abs(single - double).max() <= bound * np.abs(double).max()
+
+    def test_krylov_sees_a_unit_float32_right_hand_side(self, monkeypatch):
+        seen, lgmres = [], geodesics.lgmres
+
+        def recording(op, rhs, **kwargs):
+            seen.append((op.dtype, rhs.dtype, float(np.linalg.norm(rhs.astype(np.float64)))))
+            return lgmres(op, rhs, **kwargs)
+
+        monkeypatch.setattr(geodesics, "lgmres", recording)
+        g = Grid(16)
+        rng = np.random.default_rng(33)
+        p = EpsGeodesicProblem(
+            random_potential(g, rng), random_potential(g, rng), (0.0, 1.0), 1.0, time_steps=8
+        )
+        sol = solve_epsilon_geodesic(p)
+        assert sol.residual_norm <= p.solver_tol
+        assert sol.path.fields.dtype == np.float64
+        assert len(seen) == sol.iterations >= 2
+        eps32 = np.finfo(np.float32).eps
+        for op_dtype, rhs_dtype, norm in seen:
+            assert op_dtype == rhs_dtype == np.float32
+            assert abs(norm - 1.0) <= 16 * eps32
+
+    def test_huge_warm_start_fails_cleanly(self):
+        """A spatially constant warm start alternating +-1e36 between knots
+        has a residual above the float32 range: the solve reports a solver
+        failure instead of overflowing in a cast."""
+        g = Grid(8, "central")
+        u = constant_potential(g, 0.0)
+        p = EpsGeodesicProblem(u, u, (0.0, 1.0), 1.0, time_steps=16)
+        signs = np.resize([1.0, -1.0], 17)[:, None, None]
+        initial = np.broadcast_to(1e36 * signs, (17, 8, 8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises((NonConvergence, PositivityLoss)):
+                solve_epsilon_geodesic(p, initial=initial)
+
+    def test_operator_beyond_float32_raises_before_krylov(self, monkeypatch):
+        """epsilon = 1e39 puts c - mean(c) beyond the float32 range."""
+        monkeypatch.setattr(geodesics, "lgmres", no_krylov)
+        g = Grid(8)
+        rng = np.random.default_rng(34)
+        p = EpsGeodesicProblem(
+            random_potential(g, rng), random_potential(g, rng), (0.0, 1.0), 1e39, time_steps=4
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergence) as err:
+                solve_epsilon_geodesic(p)
+        assert err.value.iterations == 0 and np.isfinite(err.value.residual)
+
+
 class TestNewtonKernels:
     def test_applies_run_no_transform(self, monkeypatch, scheme):
         """One J P^-1 apply and one P^-1 solve are matrix products only."""
@@ -635,6 +707,23 @@ class TestJacobiFields:
         rough = np.cos(2.0 * np.pi * 3 * x)
         with pytest.raises(NotKahler):
             jacobi_field(p, rough, rough, delta=0.5)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [np.full((8, 8), np.nan), np.full((8, 8), np.inf), np.zeros((4, 4))],
+        ids=["nan", "inf", "shape"],
+    )
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_directions_validated_before_any_solve(self, monkeypatch, bad, side):
+        monkeypatch.setattr(geodesics, "lgmres", no_krylov)
+        u = constant_potential(Grid(8), 0.0)
+        p = EpsGeodesicProblem(u, u, (0.0, 1.0), 1.0, time_steps=4)
+        good = np.zeros((8, 8))
+        directions = (bad, good) if side == "a" else (good, bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="direction"):
+                jacobi_field(p, *directions)
 
     @pytest.mark.parametrize("delta", [0.0, -1e-3, np.nan, np.inf])
     def test_delta_validated(self, delta):
