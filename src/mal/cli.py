@@ -243,14 +243,16 @@ def _fmt(x: float) -> str:
 
 
 def _write_field_csv(path: Path, times, stack, column: str) -> None:
-    """One (t, i, j, value) row per cell, in csv.writer's CRLF rows, one write per knot."""
-    cells = [f"{i},{j}," for i, j in np.ndindex(*stack.shape[1:])]
+    """One (t, i, j, value) row per cell, in csv.writer's CRLF rows, one write per knot.
+
+    A knot's rows are one % operation on a per-file template whose {t} takes
+    the knot's time; %.17g formats a float as _fmt does.
+    """
+    rows = "".join(f"{{t}},{i},{j},%.17g\r\n" for i, j in np.ndindex(*stack.shape[1:]))
     with path.open("w", newline="") as fh:
         fh.write(f"t,i,j,{column}\r\n")
         for t, field in zip(times, stack):
-            lead = f"{_fmt(float(t))},"
-            rows = (f"{lead}{cell}{v:.17g}\r\n" for cell, v in zip(cells, field.ravel().tolist()))
-            fh.write("".join(rows))
+            fh.write(rows.replace("{t}", _fmt(float(t))) % tuple(field.ravel().tolist()))
 
 
 def cmd_solve(cfg: ExperimentConfig) -> int:

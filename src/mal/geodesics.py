@@ -24,7 +24,8 @@ stay float64, so the stop test |res|_sup <= solver_tol and the accuracy of
 the solved path do not depend on the Krylov precision.
 
 Weak geodesics arise as continuation limits along a halving epsilon schedule,
-each level warm-started by a secant predictor in epsilon.
+each level warm-started by polynomial extrapolation in epsilon through the
+last (up to four) solved paths.
 
 Every iterate is admissible: a warm start needs positive interior densities,
 and the line search halves the step until a trial is admissible and lowers the
@@ -382,10 +383,11 @@ def epsilon_continuation(
 ) -> list[GeodesicSolution]:
     """Warm-started solves along the halving schedule epsilon = 1, 1/2, 1/4, ...
 
-    Level 1 starts from level 0's path.  From level 2 on, a secant predictor
-    extrapolates the last two paths linearly in epsilon, u_k + (u_k - u_{k-1})/2
-    on the halving schedule, and falls back to u_k when that guess has a
-    non-positive interior density.
+    Level 1 starts from level 0's path.  From level 2 on, the start is the
+    Lagrange polynomial in epsilon through the last min(4, k + 1) paths,
+    evaluated at epsilon_k / 2: the secant u_k + (u_k - u_{k-1})/2 at level 2,
+    quadratic at level 3 and cubic from level 4 on.  It falls back to u_k when
+    that guess has a non-positive interior density.
 
     Stops once successive solutions differ by less than tol in sup norm;
     raises NonConvergence if 60 halvings leave the gap above tol.
@@ -396,7 +398,7 @@ def epsilon_continuation(
     sols = [solve_epsilon_geodesic(problem)]
     for _ in range(_MAX_LEVELS):
         problem = replace(problem, epsilon=problem.epsilon / 2.0)
-        nxt = solve_epsilon_geodesic(problem, initial=_secant_start(sols))
+        nxt = solve_epsilon_geodesic(problem, initial=_extrapolated_start(sols))
         gap = sup_distance(nxt.path, sols[-1].path)
         sols.append(nxt)
         if gap < tol:
@@ -404,12 +406,24 @@ def epsilon_continuation(
     raise NonConvergence(_MAX_LEVELS, gap)
 
 
-def _secant_start(sols: list[GeodesicSolution]) -> NDArray[np.float64]:
-    """Warm start for the next halving level: the secant guess if admissible, else u_k."""
+def _extrapolated_start(sols: list[GeodesicSolution]) -> NDArray[np.float64]:
+    """Warm start for the next halving level: the extrapolation if admissible, else u_k.
+
+    On the halving schedule the Lagrange weights, from u_k back, are the exact
+    binary fractions (1.5, -0.5), (1.75, -0.875, 0.125) and (1.875, -1.09375,
+    0.234375, -0.015625).
+    """
     last = sols[-1].path.fields
-    if len(sols) < 2:
+    nodes = sols[-4:]
+    if len(nodes) < 2:
         return last
-    guess = last + 0.5 * (last - sols[-2].path.fields)
+    target = 0.5 * sols[-1].epsilon
+    eps = [s.epsilon for s in nodes]
+    guess = np.zeros_like(last)
+    for j, node in enumerate(nodes):
+        others = eps[:j] + eps[j + 1 :]
+        weight = np.prod([target - e for e in others]) / np.prod([eps[j] - e for e in others])
+        guess += weight * node.path.fields
     if ma_density(guess[1:-1], sols[-1].path.grid).min() > 0.0:
         return guess
     return last

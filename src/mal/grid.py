@@ -11,7 +11,9 @@ potential u carries the Monge-Ampere density
 
 so the measure of a cell is rho_u(center)/N^2 (midpoint rule).  Two derivative
 schemes sit behind the same interface: a Fourier spectral one and 2nd-order
-central differences.
+central differences.  The spectral first derivatives use FFTs; the spectral
+Laplacian, and so every density, is the grid's real second-derivative axis
+matrix applied along each axis, with no transform.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ class Grid:
     Args:
         n: number of cells per side, even and at least 4 so the schemes
             resolve the lowest modes.
-        scheme: "spectral" (FFT derivatives) or "central" (2nd-order
+        scheme: "spectral" (Fourier derivatives: FFTs for the first ones,
+            the axis matrix d2 for the Laplacian) or "central" (2nd-order
             central differences).
     """
 
@@ -166,9 +169,16 @@ def gradient(f: GridField, grid: Grid) -> tuple[GridField, GridField]:
 
 
 def laplacian(f: GridField, grid: Grid) -> GridField:
-    """Periodic Laplacian; annihilates constants, so the output mean is ~0."""
+    """Periodic Laplacian; annihilates constants, so the output mean is ~0.
+
+    The spectral one is d2 @ f + f @ d2 with the grid's axis matrix, taken
+    after subtracting each field's corner value, so that an exactly constant
+    field maps to exactly 0, as under the Fourier symbol.
+    """
     if grid.scheme == "spectral":
-        return _spectral(f, grid, fourier_symbols(grid).lap)[0]
+        d2 = axis_matrices(grid).d2
+        f = f - f[..., :1, :1]
+        return d2 @ f + f @ d2
     return (
         np.roll(f, -1, axis=-2)
         + np.roll(f, 1, axis=-2)

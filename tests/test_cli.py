@@ -415,6 +415,21 @@ class TestSolve:
             b"0.10000000000000001,0,1,0.66666666666666674\r\n"
             b"0.10000000000000001,1,0,1\r\n0.10000000000000001,1,1,1.3333333333333335\r\n"
         )
+        # signed zero, the smallest subnormal and the largest finite values keep 17 digits
+        times = np.array([1.0 / 3.0, -0.0])
+        big = 1.7976931348623157e308
+        extremes = np.array([-0.0, 5e-324, big, -big, 1.0 / 3.0, 0.0, 1.0, -1.0]).reshape(2, 2, 2)
+        _write_field_csv(tmp_path / "x.csv", times, extremes, "c")
+        rows = "".join(
+            f"{t:.17g},{i},{j},{v:.17g}\r\n"
+            for t, field in zip(times, extremes)
+            for (i, j), v in np.ndenumerate(field)
+        )
+        assert (tmp_path / "x.csv").read_bytes() == f"t,i,j,c\r\n{rows}".encode()
+        assert (tmp_path / "x.csv").read_bytes().startswith(
+            b"t,i,j,c\r\n0.33333333333333331,0,0,-0\r\n"
+            b"0.33333333333333331,0,1,4.9406564584124654e-324\r\n"
+        )
 
 
 RECORD_KEYS = {

@@ -47,6 +47,13 @@ class TestLaplacian:
         g = Grid(16, scheme)
         assert np.all(laplacian(np.full((16, 16), 3.7), g) == pytest.approx(0.0, abs=1e-12))
 
+    @pytest.mark.parametrize("value", [3.7, 1.0 / 3.0, 1e38, -1e38])
+    def test_constant_stack_is_exactly_zero(self, scheme, value):
+        g = Grid(16, scheme)
+        slices = np.array([value, -value, 1.0, 0.0])[:, None, None]
+        assert not laplacian(np.broadcast_to(slices, (4, 16, 16)), g).any()
+        assert not laplacian(np.full((16, 16), value), g).any()
+
     def test_cosine_spectral(self):
         g = Grid(64, "spectral")
         f = cosx(g)
