@@ -17,14 +17,23 @@ from .grid import Grid, GridField, Potential, fourier_symbols, make_potential
 
 @lru_cache(maxsize=32)
 def _mode_table(grid: Grid, max_mode: int) -> tuple[np.ndarray, ...]:
-    """(cs, keep, weight) for k = -M..M: cos and sin of 2 pi k x at the cell centres,
-    one kept (kx, ky) per conjugate pair, and 1 and the grid's Laplacian symbol at
-    (kx mod n, ky mod n) on the rfft2 half, exact under aliasing, per cos/sin block."""
+    """(cs, draws, idx, sw) for k = -M..M: cos and sin of 2 pi k x at the cell centres;
+    the number of normals a draw takes, two per kept (kx, ky), one kept per conjugate
+    pair; per entry of the [[A, B], [B, -A]] block, the index into the draw with a zero
+    appended (a, b of the r-th kept mode in row-major order at 2r, 2r + 1, the zero for
+    the rest); and the block's signs times 1 and the grid's Laplacian symbol at
+    (kx mod n, ky mod n) on the rfft2 half, exact under aliasing."""
     n, k = grid.n, np.arange(-max_mode, max_mode + 1)
     phase = (2.0 * np.pi / n) * (np.outer(np.arange(n), k) % n)
     keep = (k[:, None] > 0) | ((k[:, None] == 0) & (k > 0))
+    draws = 2 * np.count_nonzero(keep)
+    slot = 2 * (np.cumsum(keep).reshape(keep.shape) - 1)
+    a, b = np.where(keep, slot, draws), np.where(keep, slot + 1, draws)
+    sign = np.ones((2 * k.size, 2 * k.size))
+    sign[k.size :, k.size :] = -1.0
     lap = np.tile(fourier_symbols(grid).lap[k[:, None] % n, np.minimum(k % n, -k % n)], (2, 2))
-    return np.hstack((np.cos(phase), np.sin(phase))), keep, np.stack((np.ones_like(lap), lap))
+    cs = np.hstack((np.cos(phase), np.sin(phase)))
+    return cs, np.intp(draws), np.block([[a, b], [b, a]]), sign * np.stack((np.ones_like(lap), lap))
 
 
 def sample_band_limited(
@@ -35,11 +44,9 @@ def sample_band_limited(
     symbol gives the Laplacian.  Raises ValueError unless 0 <= amplitude < inf."""
     if not 0.0 <= amplitude < np.inf:
         raise ValueError(f"amplitude must be finite and nonnegative, got {amplitude!r}")
-    cs, keep, weight = _mode_table(grid, max_mode)
-    a, b = np.zeros((2, *keep.shape))
-    a[keep], b[keep] = rng.standard_normal((np.count_nonzero(keep), 2)).T
-    coef = np.concatenate((np.concatenate((a, b), 1), np.concatenate((b, -a), 1)))
-    f, lap = cs @ (coef * weight) @ cs.T
+    cs, draws, idx, sw = _mode_table(grid, max_mode)
+    z = np.append(rng.standard_normal(draws), 0.0)
+    f, lap = cs @ (z[idx] * sw) @ cs.T
     scale = amplitude / sup if (sup := float(np.abs(f).max())) else 0.0
     return f * scale, lap * scale
 

@@ -387,7 +387,8 @@ def epsilon_continuation(
     Lagrange polynomial in epsilon through the last min(4, k + 1) paths,
     evaluated at epsilon_k / 2: the secant u_k + (u_k - u_{k-1})/2 at level 2,
     quadratic at level 3 and cubic from level 4 on.  It falls back to u_k when
-    that guess has a non-positive interior density.
+    that guess is not finite, or when the solve rejects it with NotKahler for
+    a non-positive interior density, which it tests before any Newton step.
 
     Stops once successive solutions differ by less than tol in sup norm;
     raises NonConvergence if 60 halvings leave the gap above tol.
@@ -398,7 +399,10 @@ def epsilon_continuation(
     sols = [solve_epsilon_geodesic(problem)]
     for _ in range(_MAX_LEVELS):
         problem = replace(problem, epsilon=problem.epsilon / 2.0)
-        nxt = solve_epsilon_geodesic(problem, initial=_extrapolated_start(sols))
+        try:
+            nxt = solve_epsilon_geodesic(problem, initial=_extrapolated_start(sols))
+        except NotKahler:
+            nxt = solve_epsilon_geodesic(problem, initial=sols[-1].path.fields)
         gap = sup_distance(nxt.path, sols[-1].path)
         sols.append(nxt)
         if gap < tol:
@@ -407,7 +411,7 @@ def epsilon_continuation(
 
 
 def _extrapolated_start(sols: list[GeodesicSolution]) -> NDArray[np.float64]:
-    """Warm start for the next halving level: the extrapolation if admissible, else u_k.
+    """Warm start for the next halving level: the extrapolation if finite, else u_k.
 
     On the halving schedule the Lagrange weights, from u_k back, are the exact
     binary fractions (1.5, -0.5), (1.75, -0.875, 0.125) and (1.875, -1.09375,
@@ -424,9 +428,7 @@ def _extrapolated_start(sols: list[GeodesicSolution]) -> NDArray[np.float64]:
         others = eps[:j] + eps[j + 1 :]
         weight = np.prod([target - e for e in others]) / np.prod([eps[j] - e for e in others])
         guess += weight * node.path.fields
-    if ma_density(guess[1:-1], sols[-1].path.grid).min() > 0.0:
-        return guess
-    return last
+    return guess if np.isfinite(guess).all() else last
 
 
 def weak_geodesic(

@@ -244,6 +244,25 @@ def make_potential(f: GridField, grid: Grid) -> Potential:
     return Potential(grid, _frozen(f), _frozen(ma_density(f, grid)))
 
 
+def check_weighted_rows(values: NDArray, weights: NDArray) -> None:
+    """ValueError unless each row (the last axis) of a stack of weighted sets is
+    a WeightedValues: non-empty, finite values, finite strictly positive weights
+    summing to 1 within 1e-12.  The first failing row's total is reported."""
+    if values.shape != weights.shape:
+        raise ValueError("values and weights must have equal shapes")
+    if values.size == 0:
+        raise ValueError("weighted value set must be non-empty")
+    if not np.isfinite(values).all():
+        raise ValueError("values must be finite")
+    # written so that a NaN weight fails the comparison; an infinite one fails the sum
+    if not float(weights.min()) > 0.0:
+        raise ValueError("weights must be finite and strictly positive")
+    totals = np.atleast_1d(weights.sum(axis=-1))
+    off = ~(np.abs(totals - 1.0) <= 1e-12)
+    if off.any():
+        raise ValueError(f"weights must sum to 1 within 1e-12, got {float(totals[off][0])!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class WeightedValues:
     """Finite weighted value set (v_c, w_c): the distribution data of a field.
@@ -258,16 +277,7 @@ class WeightedValues:
     def __post_init__(self):
         if self.values.ndim != 1 or self.values.shape != self.weights.shape:
             raise ValueError("values and weights must be 1-d arrays of equal length")
-        if self.values.size == 0:
-            raise ValueError("weighted value set must be non-empty")
-        if not np.isfinite(self.values).all():
-            raise ValueError("values must be finite")
-        # written so that a NaN weight fails the comparison; an infinite one fails the sum
-        if not float(self.weights.min()) > 0.0:
-            raise ValueError("weights must be finite and strictly positive")
-        total = float(self.weights.sum())
-        if not abs(total - 1.0) <= 1e-12:
-            raise ValueError(f"weights must sum to 1 within 1e-12, got {total!r}")
+        check_weighted_rows(self.values, self.weights)
 
     @property
     def total_mass(self) -> float:

@@ -1,9 +1,11 @@
 """Invariant convex Lagrangians on tangent fields at a potential.
 
 A Lagrangian L assigns a real to a tangent field xi at u and, by construction,
-depends on (xi, mu_u) only through the weighted distribution: every variant
-here evaluates on WeightedValues, so invariance under strict rearrangement is
-structural rather than asserted.  Variants:
+depends on (xi, mu_u) only through the weighted distribution: every form
+evaluates rows of weighted sets, values and cell masses with the cells on the
+last axis, so invariance under strict rearrangement is structural rather than
+asserted.  One set (a WeightedValues) is the one-row case, and a path is
+priced in one call over the stack of its intervals (evaluate_rows).  Forms:
 
     Orlicz(chi)      integral of chi(xi) d mu_u, chi a convex weight
     LorentzWeak(a)   sup over super-level masses s of (prefix integral of
@@ -22,19 +24,24 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.typing import NDArray
 
-from .grid import GridField, Potential, WeightedValues
-from .rearrangement import (
-    StepFunction,
-    hardy_littlewood_sup,
-    rearrange_values,
-)
+from .grid import GridField, Potential, WeightedValues, check_weighted_rows
+from .rearrangement import StepFunction, descending_rows, sorted_pairing
 
 _CONVEXITY_PROBES = np.linspace(-4.0, 4.0, 33)
 
 
+class _RowForm:
+    """A form's one-set value from its row kernel _rows(values, weights),
+    which maps (..., N) stacks of already validated sets to (...) values."""
+
+    def of_weighted(self, wv: WeightedValues) -> float:
+        return float(self._rows(wv.values, wv.weights))
+
+
 @dataclass(frozen=True, eq=False)
-class Orlicz:
+class Orlicz(_RowForm):
     """Integral Lagrangian with a fixed convex weight: L(xi) = sum chi(xi) w.
 
     chi must accept ndarrays.  Convexity is spot-checked on a probe grid at
@@ -56,12 +63,12 @@ class Orlicz:
     def positively_homogeneous(self) -> bool:
         return False
 
-    def of_weighted(self, wv: WeightedValues) -> float:
-        return float(np.dot(self.chi(wv.values), wv.weights))
+    def _rows(self, values, weights):
+        return np.sum(self.chi(values) * weights, axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
-class LorentzWeak:
+class LorentzWeak(_RowForm):
     """Weak Lorentz functional: sup_s (integral_0^s |xi|* d sigma) / s^alpha."""
 
     alpha: float
@@ -74,16 +81,26 @@ class LorentzWeak:
     def positively_homogeneous(self) -> bool:
         return True
 
-    def of_weighted(self, wv: WeightedValues) -> float:
-        step = rearrange_values(np.abs(wv.values), wv.weights)
-        # on the segment after bound s_j the ratio is (a + v s) / s^alpha with
+    def _rows(self, values, weights):
+        # on the segment after mass s_j the ratio is (a + v s) / s^alpha with
         # v > 0 and a = prefix_j - v s_j >= 0 (the levels decrease); its only
-        # critical point is a minimum, so the sup sits on a segment end
-        return float(np.max(step.prefix_integrals()[1:] / step.bounds[1:] ** self.alpha))
+        # critical point is a minimum, so the sup sits on a segment end.  A run
+        # of equal levels is one segment, charged at its last cell, so the
+        # prefixes are those of the merged rearrangement bit for bit; inside a
+        # run the ratio only falls, since the prefix stays while s grows
+        levels, w = descending_rows(np.abs(values), weights)
+        running = np.cumsum(w, axis=-1)
+        last = np.ones(levels.shape, dtype=bool)
+        last[..., :-1] = levels[..., 1:] != levels[..., :-1]
+        run_end = np.maximum.accumulate(np.where(last, running, 0.0), axis=-1)
+        start = np.zeros_like(running)
+        start[..., 1:] = run_end[..., :-1]
+        prefix = np.cumsum(np.where(last, levels * (running - start), 0.0), axis=-1)
+        return np.max(prefix / running**self.alpha, axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
-class Power:
+class Power(_RowForm):
     """Norm Lagrangian L(xi) = (integral |xi|^p d mu_u)^{1/p}."""
 
     p: float
@@ -96,13 +113,12 @@ class Power:
     def positively_homogeneous(self) -> bool:
         return True
 
-    def of_weighted(self, wv: WeightedValues) -> float:
-        s = float(np.dot(np.abs(wv.values) ** self.p, wv.weights))
-        return s ** (1.0 / self.p)
+    def _rows(self, values, weights):
+        return np.sum(np.abs(values) ** self.p * weights, axis=-1) ** (1.0 / self.p)
 
 
 @dataclass(frozen=True, eq=False)
-class SupFamily:
+class SupFamily(_RowForm):
     """Sup of affine functionals xi -> a + sup of rearranged-f0 pairings.
 
     members: pairs (a, f0) of a finite offset a and a mass-1 StepFunction f0
@@ -124,8 +140,11 @@ class SupFamily:
     def positively_homogeneous(self) -> bool:
         return all(a == 0.0 for a, _ in self.members)
 
-    def of_weighted(self, wv: WeightedValues) -> float:
-        return max(a + hardy_littlewood_sup(f0, wv) for a, f0 in self.members)
+    def _rows(self, values, weights):
+        # every member pairs with the same descending order, sorted once per row
+        levels, w = descending_rows(values, weights)
+        running = np.cumsum(w, axis=-1)
+        return np.max([a + sorted_pairing(f0, levels, running) for a, f0 in self.members], axis=0)
 
 
 LagrangianSpec = Orlicz | LorentzWeak | Power | SupFamily
@@ -134,6 +153,20 @@ LagrangianSpec = Orlicz | LorentzWeak | Power | SupFamily
 def evaluate(spec: LagrangianSpec, u: Potential, xi: GridField) -> float:
     """Evaluate a Lagrangian on a tangent field at u."""
     return spec.of_weighted(WeightedValues.from_field(np.asarray(xi, dtype=float), u))
+
+
+def evaluate_rows(spec: LagrangianSpec, values, weights) -> NDArray[np.float64]:
+    """L of each row of a (k, N) stack of weighted sets, cells on the last axis.
+
+    Each row must pass the checks of WeightedValues (check_weighted_rows), with
+    its messages; the values equal k one-set evaluations up to rounding.
+    """
+    values = np.asarray(values, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if values.ndim != 2:
+        raise ValueError(f"values must be a (k, N) stack, got shape {values.shape}")
+    check_weighted_rows(values, weights)
+    return spec._rows(values, weights)
 
 
 @dataclass(frozen=True)

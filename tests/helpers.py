@@ -1,14 +1,15 @@
 """Shared generators and oracles for tests.
 
-Generators: exact-arithmetic weighted sets, small fields, and stand-in and
-recording Krylov solvers.  Oracles that no program path calls, each checked
-by its own unit tests: the Newton operators composed from stencils, the
-composition of two transport maps, transport along piecewise-linear paths
-segment by segment, the grid's cometric pairing, Poisson bracket and
-integral, the covariant derivative along a path, the Jacobi-equation residual
-and time convexity of a solved path, the similar-ordering test, and the
-Lagrangians' property checks (invariance, fiber convexity, Lipschitz
-constants, strong continuity).
+Generators: exact-arithmetic weighted sets, small fields, band-limited draws
+assembled the long way, and stand-in and recording Krylov solvers.  Oracles
+that no program path calls, each checked by its own unit tests: the Newton
+operators composed from stencils, the composition of two transport maps,
+transport along piecewise-linear paths segment by segment, the grid's
+cometric pairing, Poisson bracket and integral, the covariant derivative
+along a path, the Jacobi-equation residual and time convexity of a solved
+path, the similar-ordering test, the Hardy-Littlewood pairing on a common
+refinement, and the Lagrangians' property checks (invariance, fiber
+convexity, Lipschitz constants, strong continuity).
 """
 
 from typing import Sequence
@@ -37,7 +38,7 @@ from mal.lagrangians import (
     VerificationReport,
     evaluate,
 )
-from mal.rearrangement import equidistributed
+from mal.rearrangement import _refinement, decreasing_rearrangement, equidistributed
 from mal.transport import (
     PotentialPath,
     TransportMap,
@@ -102,6 +103,32 @@ def sorted_merge_oracle(values, weights):
             levels.append(v)
             widths.append(w)
     return np.concatenate([[0.0], np.cumsum(widths)]), np.asarray(levels)
+
+
+def hardy_littlewood_refinement(f0, eta: WeightedValues) -> float:
+    """Hardy-Littlewood pairing integrated on the common refinement of the two
+    rearrangements' breakpoints, up to the smaller mass."""
+    eta_star = decreasing_rearrangement(eta)
+    lengths, mids = _refinement(
+        f0.bounds, eta_star.bounds, min(f0.total_mass, eta_star.total_mass)
+    )
+    return float(np.sum(lengths * f0.value(mids) * eta_star.value(mids)))
+
+
+def band_limited_reference(grid, rng, amplitude, max_mode):
+    """sample_band_limited with the coefficient block assembled from zeros,
+    masked assignments and concatenations, from the same draw."""
+    n, k = grid.n, np.arange(-max_mode, max_mode + 1)
+    phase = (2.0 * np.pi / n) * (np.outer(np.arange(n), k) % n)
+    cs = np.hstack((np.cos(phase), np.sin(phase)))
+    keep = (k[:, None] > 0) | ((k[:, None] == 0) & (k > 0))
+    lap = np.tile(fourier_symbols(grid).lap[k[:, None] % n, np.minimum(k % n, -k % n)], (2, 2))
+    a, b = np.zeros((2, *keep.shape))
+    a[keep], b[keep] = rng.standard_normal((np.count_nonzero(keep), 2)).T
+    coef = np.concatenate((np.concatenate((a, b), 1), np.concatenate((b, -a), 1)))
+    f, lap = cs @ (coef * np.stack((np.ones_like(lap), lap))) @ cs.T
+    scale = amplitude / sup if (sup := float(np.abs(f).max())) else 0.0
+    return f * scale, lap * scale
 
 
 def inadmissible_lgmres(n, amplitude=1e12):

@@ -12,6 +12,7 @@ from mal.action import (
     competitor_paths,
     least_action,
     midpoint_convexity_margin,
+    midpoint_excess,
     path_action,
     verify_action_convexity,
     verify_comparison_inequality,
@@ -24,7 +25,8 @@ from mal.errors import GenerationFailed, HomogeneityRequired, NotKahler
 from mal.fixtures import random_band_limited, random_potential
 from mal.geodesics import EpsGeodesicProblem, solve_epsilon_geodesic, weak_geodesic
 from mal.grid import SCHEMES, Grid, ma_density, make_potential
-from mal.lagrangians import LorentzWeak, Orlicz, Power, evaluate
+from mal.lagrangians import LorentzWeak, Orlicz, Power, SupFamily, evaluate
+from mal.rearrangement import rearrange_values
 from mal.transport import PotentialPath, linear_path
 
 
@@ -583,6 +585,24 @@ class TestVerifyNoether:
         report = verify_noether(Power(1.0), linear_path(u_a, u_b, 0.0, 1.0, 8), tol=1e-6)
         assert not report.passed
         assert report.worst > 1e-4
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_knot_values_match_per_knot_evaluations(scheme):
+    """The margin and Noether rows price each knot as evaluate does at that knot."""
+    g = Grid(16, scheme)
+    rng = np.random.default_rng(23)
+    path = linear_path(random_potential(g, rng), random_potential(g, rng), 0.0, 1.0, 6)
+    field = rng.standard_normal(path.fields.shape)
+    supfam = SupFamily(((0.1, rearrange_values([1.5, 0.5], [0.25, 0.75])),))
+    for spec in (Power(1.0), Power(2.0), LorentzWeak(0.5), quadratic_lagrangian(), supfam):
+        per_knot = [evaluate(spec, knot, field[i]) for i, knot in enumerate(path.knots)]
+        margin = midpoint_convexity_margin(spec, path, field)
+        assert margin == pytest.approx(midpoint_excess(per_knot), rel=1e-13, abs=1e-15)
+        vels = path.knot_velocity
+        want = [evaluate(spec, knot, vels[i]) for i, knot in enumerate(path.knots)]
+        got = verify_noether(spec, path).provenance["values"]
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 class TestJacobiConvexity:

@@ -31,7 +31,7 @@ from mal.geodesics import (
     sup_distance,
     weak_geodesic,
 )
-from mal.grid import Grid, dx, dy, gradient, laplacian, make_potential
+from mal.grid import Grid, dx, dy, gradient, laplacian, ma_density, make_potential
 from mal.transport import PotentialPath, linear_path
 
 
@@ -633,7 +633,9 @@ class TestContinuation:
         a cos(2 pi x) on interior knot j + 1 only, so each knot of a guess is
         one weight w times a cos(2 pi x), with density 1 - 2 pi^2 w a cos(2 pi x):
         at a = 0.01 every guess is admissible, and at a = 0.04 each has a
-        knot with |w| >= 1.5 and a negative density.
+        knot with |w| >= 1.5 and a negative density.  The scripted solve
+        rejects such a start with NotKahler, as the real one does, and only
+        the start it accepts is recorded.
         """
         g = Grid(8)
         zero = constant_potential(g, 0.0)
@@ -643,6 +645,9 @@ class TestContinuation:
         initials = []
 
         def scripted(p, initial=None):
+            low = np.inf if initial is None else float(ma_density(initial[1:-1], g).min())
+            if not low > 0.0:
+                raise NotKahler(low)
             initials.append(initial)
             # the fifth level repeats the fourth, so the gap closes there
             fields = levels[min(len(initials), 4) - 1]

@@ -9,6 +9,7 @@ from helpers import (
     check_strong_continuity,
     dyadic_weighted,
     estimate_lipschitz,
+    hardy_littlewood_refinement,
     integrate,
     lipschitz_bound,
     sorted_merge_oracle,
@@ -16,7 +17,7 @@ from helpers import (
 
 from mal.fixtures import random_potential
 from mal.grid import Grid, WeightedValues, make_potential
-from mal.lagrangians import LorentzWeak, Orlicz, Power, SupFamily, evaluate
+from mal.lagrangians import LorentzWeak, Orlicz, Power, SupFamily, evaluate, evaluate_rows
 from mal.rearrangement import (
     StepFunction,
     decreasing_rearrangement,
@@ -251,6 +252,89 @@ def test_forms_invariant_under_permutation_and_tie_splitting(cuts, values, split
         want = form.of_weighted(oracle)
         assert form.of_weighted(plain) == want
         assert form.of_weighted(moved) == want
+
+
+ROW_FORMS = (
+    Power(1.0),
+    Power(2.0),
+    Power(3.5),
+    CHI_SQUARE,
+    LorentzWeak(0.3),
+    LorentzWeak(0.5),
+    LorentzWeak(0.9),
+    FORMS[-1],
+)
+ROW_FORM_IDS = ("p1", "p2", "p3.5", "chi-square", "a0.3", "a0.5", "a0.9", "supfam")
+
+
+def per_set_oracle(form, wv):
+    """The form on one set, computed without its row kernel."""
+    v, w = wv.values, wv.weights
+    if isinstance(form, Power):
+        return float(np.dot(np.abs(v) ** form.p, w)) ** (1.0 / form.p)
+    if isinstance(form, Orlicz):
+        return float(np.dot(form.chi(v), w))
+    if isinstance(form, LorentzWeak):
+        return lorentz_per_level(form.alpha, wv)[0]
+    return max(a + hardy_littlewood_refinement(f0, wv) for a, f0 in form.members)
+
+
+def row_stacks():
+    """(name, values, weights): ties, a constant row, one row, one cell, generic."""
+    rng = np.random.default_rng(21)
+    generic = rng.standard_normal((5, 40))
+    weights = rng.dirichlet(np.ones(40), size=5)
+    ties = np.round(2.0 * generic)
+    constant = generic.copy()
+    constant[2] = -0.75
+    yield "generic", generic, weights
+    yield "ties", ties, weights
+    yield "constant row", constant, weights
+    yield "one row", generic[:1], weights[:1]
+    yield "one cell", generic[:, :1], np.ones((5, 1))
+
+
+class TestRowKernels:
+    @pytest.mark.parametrize("form", ROW_FORMS, ids=ROW_FORM_IDS)
+    def test_rows_equal_single_sets(self, form):
+        for name, values, weights in row_stacks():
+            got = evaluate_rows(form, values, weights)
+            assert got.shape == (len(values),), name
+            for i in range(len(values)):
+                wv = WeightedValues.from_arrays(values[i], weights[i])
+                assert got[i] == pytest.approx(form.of_weighted(wv), rel=1e-14), (name, i)
+                # the oracles sum in another order
+                scale = (1.0 + float(np.abs(values[i]).max())) ** 2
+                assert got[i] == pytest.approx(per_set_oracle(form, wv), abs=1e-12 * scale)
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("nan value", "values must be finite"),
+            ("zero weight", "weights must be finite and strictly positive"),
+            ("heavy row", "weights must sum to 1 within 1e-12, got 1.0000000001"),
+        ],
+    )
+    def test_rows_validated_like_weighted_values(self, fault, message):
+        """A fault in row 2 raises what WeightedValues raises for that row alone."""
+        values = np.random.default_rng(22).standard_normal((4, 6))
+        weights = np.full((4, 6), 1.0 / 6.0)
+        if fault == "nan value":
+            values[2, 3] = np.nan
+        elif fault == "zero weight":
+            weights[2, 0] = 0.0
+        else:
+            weights[2] *= 1.0 + 1e-10
+        with pytest.raises(ValueError, match=message) as from_set:
+            WeightedValues.from_arrays(values[2], weights[2])
+        for form in ROW_FORMS:
+            with pytest.raises(ValueError) as from_rows:
+                evaluate_rows(form, values, weights)
+            assert str(from_rows.value) == str(from_set.value)
+
+    def test_rows_need_a_stack(self):
+        with pytest.raises(ValueError, match="stack"):
+            evaluate_rows(Power(1.0), np.ones(4), np.full(4, 0.25))
 
 
 class TestInvariance:

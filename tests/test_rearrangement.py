@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dyadic_weighted, equal_weighted, similarly_ordered
+from helpers import dyadic_weighted, equal_weighted, hardy_littlewood_refinement, similarly_ordered
 
 from mal.errors import MassMismatch
 from mal.grid import WeightedValues
@@ -345,6 +345,38 @@ class TestHardyLittlewood:
             e_exp = np.sort(np.repeat(e_vals, (e_w * denom).astype(int)))[::-1]
             oracle = np.dot(f_exp, e_exp) / denom
             assert hardy_littlewood_sup(f0, eta) == oracle
+
+    @staticmethod
+    def misaligned(rng, mass=1.0):
+        """A random f0 of the given mass and a random eta, with ties, whose
+        breakpoints do not line up."""
+        kf, ke = int(rng.integers(1, 9)), int(rng.integers(1, 30))
+        f0 = rearrange_values(rng.standard_normal(kf), mass * rng.dirichlet(np.ones(kf)))
+        e_vals = np.round(2.0 * rng.standard_normal(ke), int(rng.integers(0, 3)))
+        return f0, wv(e_vals, rng.dirichlet(np.ones(ke)))
+
+    def test_matches_refinement_oracle_on_misaligned_breakpoints(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            f0, eta = self.misaligned(rng)
+            assert hardy_littlewood_sup(f0, eta) == pytest.approx(
+                hardy_littlewood_refinement(f0, eta), rel=1e-12, abs=1e-14
+            )
+
+    @pytest.mark.parametrize("gap", [-9e-10, -1e-12, 1e-12, 9e-10])
+    def test_matches_refinement_oracle_on_nearly_equal_masses(self, gap):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            f0, eta = self.misaligned(rng, 1.0 + gap)
+            assert hardy_littlewood_sup(f0, eta) == pytest.approx(
+                hardy_littlewood_refinement(f0, eta), rel=1e-12, abs=1e-14
+            )
+
+    @pytest.mark.parametrize("gap", [-2e-9, 2e-9])
+    def test_mass_gap_above_tolerance_raises(self, gap):
+        f0, eta = self.misaligned(np.random.default_rng(13), 1.0 + gap)
+        with pytest.raises(MassMismatch):
+            hardy_littlewood_sup(f0, eta)
 
 
 class TestStepL1Distance:
