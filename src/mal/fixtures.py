@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import Grid, GridField, Potential, fourier_symbols, make_potential
+from .grid import Grid, GridField, Potential, laplacian_symbol, make_potential
 
 
 @lru_cache(maxsize=32)
@@ -21,8 +21,8 @@ def _mode_table(grid: Grid, max_mode: int) -> tuple[np.ndarray, ...]:
     the number of normals a draw takes, two per kept (kx, ky), one kept per conjugate
     pair; per entry of the [[A, B], [B, -A]] block, the index into the draw with a zero
     appended (a, b of the r-th kept mode in row-major order at 2r, 2r + 1, the zero for
-    the rest); and the block's signs times 1 and the grid's Laplacian symbol at
-    (kx mod n, ky mod n) on the rfft2 half, exact under aliasing."""
+    the rest); and the block's signs times 1 and the grid's Laplacian symbol, exact
+    under aliasing."""
     n, k = grid.n, np.arange(-max_mode, max_mode + 1)
     phase = (2.0 * np.pi / n) * (np.outer(np.arange(n), k) % n)
     keep = (k[:, None] > 0) | ((k[:, None] == 0) & (k > 0))
@@ -31,7 +31,7 @@ def _mode_table(grid: Grid, max_mode: int) -> tuple[np.ndarray, ...]:
     a, b = np.where(keep, slot, draws), np.where(keep, slot + 1, draws)
     sign = np.ones((2 * k.size, 2 * k.size))
     sign[k.size :, k.size :] = -1.0
-    lap = np.tile(fourier_symbols(grid).lap[k[:, None] % n, np.minimum(k % n, -k % n)], (2, 2))
+    lap = np.tile(laplacian_symbol(grid, k[:, None], k), (2, 2))
     cs = np.hstack((np.cos(phase), np.sin(phase)))
     return cs, np.intp(draws), np.block([[a, b], [b, a]]), sign * np.stack((np.ones_like(lap), lap))
 

@@ -11,9 +11,9 @@ potential u carries the Monge-Ampere density
 
 so the measure of a cell is rho_u(center)/N^2 (midpoint rule).  Two derivative
 schemes sit behind the same interface: a Fourier spectral one and 2nd-order
-central differences.  The spectral first derivatives use FFTs; the spectral
-Laplacian, and so every density, is the grid's real second-derivative axis
-matrix applied along each axis, with no transform.
+central differences.  The spectral derivatives, and so every density, are the
+grid's real axis matrices applied along each axis, with no transform; the
+central ones are np.roll stencils.
 """
 
 from __future__ import annotations
@@ -39,9 +39,8 @@ class Grid:
     Args:
         n: number of cells per side, even and at least 4 so the schemes
             resolve the lowest modes.
-        scheme: "spectral" (Fourier derivatives: FFTs for the first ones,
-            the axis matrix d2 for the Laplacian) or "central" (2nd-order
-            central differences).
+        scheme: "spectral" (Fourier derivatives, applied as the axis
+            matrices d1 and d2) or "central" (2nd-order central differences).
     """
 
     n: int
@@ -59,42 +58,16 @@ class Grid:
         return np.meshgrid(t, t, indexing="ij")
 
 
-class FourierSymbols(NamedTuple):
-    """Fourier multipliers of a grid's scheme on the rfft2 half spectrum.
-
-    Both schemes' operators are diagonal in Fourier modes, so each symbol is
-    exact: multiplying a transform by it and transforming back gives dx, dy
-    or laplacian of the field to rounding.
-    ddx, ddy: first derivatives over integer wavenumbers k, 2 pi i k for the
-    spectral scheme and i n sin(2 pi k/n) for the central one, with the
-    unpaired Nyquist mode zeroed since its odd derivative has no real value
-    (the central stencil annihilates it anyway).
-    lap: the Laplacian symbol, -4 pi^2 (k^2 + l^2) for the spectral scheme
-    and -4 n^2 (sin^2(pi k/n) + sin^2(pi l/n)) for the central one.
-    """
-
-    ddx: NDArray[np.complex128]
-    ddy: NDArray[np.complex128]
-    lap: NDArray[np.float64]
-
-
-@lru_cache(maxsize=32)
-def fourier_symbols(grid: Grid) -> FourierSymbols:
-    """The grid's symbol table, built once per grid."""
+def laplacian_symbol(grid: Grid, kx, ky) -> NDArray[np.float64]:
+    """The grid's Laplacian eigenvalue on the Fourier modes of integer wavenumbers
+    (kx, ky), which broadcast: each is first aliased into [-n/2, n/2), then
+    -4 pi^2 (kx^2 + ky^2) for the spectral scheme and
+    -4 n^2 (sin^2(pi kx/n) + sin^2(pi ky/n)) for the central one."""
     n = grid.n
-    k, l = np.fft.fftfreq(n, d=1.0 / n), np.fft.rfftfreq(n, d=1.0 / n)
+    kx, ky = ((np.asarray(k) + n // 2) % n - n // 2 for k in (kx, ky))
     if grid.scheme == "spectral":
-        lap = -(4.0 * np.pi**2) * (k[:, None] ** 2 + l[None, :] ** 2)
-        odd = (2j * np.pi) * k
-    else:
-        lap = -4.0 * n**2 * (np.sin(np.pi * k / n)[:, None] ** 2 + np.sin(np.pi * l / n) ** 2)
-        odd = 1j * n * np.sin(2.0 * np.pi * k / n)
-    odd = np.where(np.abs(k) == n // 2, 0.0, odd)
-    # rfft2 keeps l = 0 .. n/2, so ddy is odd's first n/2 + 1 entries (Nyquist last, zeroed)
-    table = FourierSymbols(odd[:, None], odd[None, : n // 2 + 1], lap)
-    for a in table:
-        a.setflags(write=False)
-    return table
+        return -(4.0 * np.pi**2) * (kx**2 + ky**2)
+    return -4.0 * n**2 * (np.sin(np.pi * kx / n) ** 2 + np.sin(np.pi * ky / n) ** 2)
 
 
 class AxisMatrices(NamedTuple):
@@ -102,14 +75,15 @@ class AxisMatrices(NamedTuple):
 
     Both schemes' operators are diagonal in Fourier modes, so along one axis
     they are circulant: dx f = d1 @ f, dy f = f @ d1.T and laplacian f =
-    d2 @ f + f @ d2, to rounding.
-    d1: the first derivative, with the spectral Nyquist mode zeroed as in
-    ddx.
-    d2: the symmetric second derivative.
+    d2 @ f + f @ d2.
+    d1: the first derivative; the spectral one has symbol 2 pi i k with the
+    unpaired Nyquist mode zeroed, since its odd derivative has no real value.
+    d2: the symmetric second derivative, of symbol laplacian_symbol(grid, k, 0).
     basis, eigen: d2 = basis @ diag(eigen) @ basis.T with basis orthonormal,
     from numpy.linalg.eigh.
     The central d1 and d2 are the integer stencils times n/2 and n^2, so each
-    row sums to exactly 0; the spectral ones come from the 1-D symbols.
+    row sums to exactly 0; the spectral ones are inverse transforms of their
+    symbols, taken once per grid.
     """
 
     d1: NDArray[np.float64]
@@ -123,10 +97,11 @@ def axis_matrices(grid: Grid) -> AxisMatrices:
     """The grid's axis matrices, built once per grid."""
     n = grid.n
     if grid.scheme == "spectral":
-        sym = fourier_symbols(grid)
+        k = np.fft.fftfreq(n, d=1.0 / n)
+        odd = np.where(np.abs(k) == n // 2, 0.0, (2j * np.pi) * k)
         # circulant M[i, j] = c[i - j] with c the inverse transform of the symbol
         shift = (np.arange(n)[:, None] - np.arange(n)) % n
-        d1, d2 = (np.fft.ifft(symbol).real[shift] for symbol in (sym.ddx[:, 0], sym.lap[:, 0]))
+        d1, d2 = (np.fft.ifft(symbol).real[shift] for symbol in (odd, laplacian_symbol(grid, k, 0)))
         d2 = 0.5 * (d2 + d2.T)
     else:
         up = np.roll(np.eye(n), 1, axis=1)  # (up @ f)[i] = f[i + 1]
@@ -139,32 +114,24 @@ def axis_matrices(grid: Grid) -> AxisMatrices:
     return table
 
 
-def _spectral(f: GridField, grid: Grid, *multipliers) -> list[GridField]:
-    """One forward real transform of f, one inverse per multiplier."""
-    n = grid.n
-    spec = np.fft.rfft2(f, axes=(-2, -1))
-    return [np.fft.irfft2(m * spec, s=(n, n), axes=(-2, -1)) for m in multipliers]
-
-
 def dx(f: GridField, grid: Grid) -> GridField:
-    """Partial derivative along x (array axis -2)."""
+    """Partial derivative along x (array axis -2); the spectral one is d1 @ f after
+    subtracting each column's first value, so a field constant in x maps to exactly 0."""
     if grid.scheme == "spectral":
-        return _spectral(f, grid, fourier_symbols(grid).ddx)[0]
+        return axis_matrices(grid).d1 @ (f - f[..., :1, :])
     return (np.roll(f, -1, axis=-2) - np.roll(f, 1, axis=-2)) * (grid.n / 2.0)
 
 
 def dy(f: GridField, grid: Grid) -> GridField:
-    """Partial derivative along y (array axis -1)."""
+    """Partial derivative along y (array axis -1); the spectral one is
+    f @ d1.T after subtracting each row's first value, as in dx."""
     if grid.scheme == "spectral":
-        return _spectral(f, grid, fourier_symbols(grid).ddy)[0]
+        return (f - f[..., :, :1]) @ axis_matrices(grid).d1.T
     return (np.roll(f, -1, axis=-1) - np.roll(f, 1, axis=-1)) * (grid.n / 2.0)
 
 
 def gradient(f: GridField, grid: Grid) -> tuple[GridField, GridField]:
-    """(dx f, dy f), sharing one forward transform under the spectral scheme."""
-    if grid.scheme == "spectral":
-        s = fourier_symbols(grid)
-        return tuple(_spectral(f, grid, s.ddx, s.ddy))
+    """(dx f, dy f)."""
     return dx(f, grid), dy(f, grid)
 
 

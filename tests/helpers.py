@@ -1,9 +1,10 @@
 """Shared generators and oracles for tests.
 
 Generators: exact-arithmetic weighted sets, small fields, band-limited draws
-assembled the long way, and stand-in and recording Krylov solvers.  Oracles
-that no program path calls, each checked by its own unit tests: the Newton
-operators composed from stencils, the composition of two transport maps,
+assembled the long way with their own rfft2-half Laplacian symbol, stand-in
+and recording Krylov solvers, and a patch that makes every transform raise.
+Oracles that no program path calls, each checked by its own unit tests: the
+Newton operators composed from stencils, the composition of two transport maps,
 transport along piecewise-linear paths segment by segment, the grid's
 cometric pairing, Poisson bracket and integral, the covariant derivative
 along a path, the Jacobi-equation residual and time convexity of a solved
@@ -27,7 +28,6 @@ from mal.grid import (
     WeightedValues,
     dx,
     dy,
-    fourier_symbols,
     gradient,
     laplacian,
 )
@@ -115,6 +115,29 @@ def hardy_littlewood_refinement(f0, eta: WeightedValues) -> float:
     return float(np.sum(lengths * f0.value(mids) * eta_star.value(mids)))
 
 
+def forbid_transforms(monkeypatch):
+    """Make every numpy.fft and scipy.fft transform raise AssertionError."""
+
+    def transform(*args, **kwargs):
+        raise AssertionError("FFT called")
+
+    for module in (scipy.fft, np.fft):
+        for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
+                     "fftn", "ifftn", "rfftn", "irfftn"):
+            monkeypatch.setattr(module, name, transform)
+    monkeypatch.setattr(scipy.fft, "dst", transform)
+
+
+def rfft_half_laplacian_symbol(grid):
+    """The grid's Laplacian symbol on the rfft2 half spectrum, rows k = fftfreq(n) and
+    columns l = rfftfreq(n), written out apart from mal.grid.laplacian_symbol."""
+    n = grid.n
+    k, l = np.fft.fftfreq(n, d=1.0 / n), np.fft.rfftfreq(n, d=1.0 / n)
+    if grid.scheme == "spectral":
+        return -(4.0 * np.pi**2) * (k[:, None] ** 2 + l[None, :] ** 2)
+    return -4.0 * n**2 * (np.sin(np.pi * k / n)[:, None] ** 2 + np.sin(np.pi * l / n) ** 2)
+
+
 def band_limited_reference(grid, rng, amplitude, max_mode):
     """sample_band_limited with the coefficient block assembled from zeros,
     masked assignments and concatenations, from the same draw."""
@@ -122,7 +145,8 @@ def band_limited_reference(grid, rng, amplitude, max_mode):
     phase = (2.0 * np.pi / n) * (np.outer(np.arange(n), k) % n)
     cs = np.hstack((np.cos(phase), np.sin(phase)))
     keep = (k[:, None] > 0) | ((k[:, None] == 0) & (k > 0))
-    lap = np.tile(fourier_symbols(grid).lap[k[:, None] % n, np.minimum(k % n, -k % n)], (2, 2))
+    sym = rfft_half_laplacian_symbol(grid)
+    lap = np.tile(sym[k[:, None] % n, np.minimum(k % n, -k % n)], (2, 2))
     a, b = np.zeros((2, *keep.shape))
     a[keep], b[keep] = rng.standard_normal((np.count_nonzero(keep), 2)).T
     coef = np.concatenate((np.concatenate((a, b), 1), np.concatenate((b, -a), 1)))
@@ -201,7 +225,7 @@ def jacobian_oracle(fields, dt, grid, eps):
     def precond_solve(v):
         m_int, n = v.shape[0], grid.n
         lam_t = (2.0 * np.cos(np.pi * np.arange(1, m_int + 1) / (m_int + 1)) - 2.0) / dt**2
-        denom = lam_t[:, None, None] + c_mean * fourier_symbols(grid).lap
+        denom = lam_t[:, None, None] + c_mean * rfft_half_laplacian_symbol(grid)
         w = scipy.fft.dst(v, type=1, axis=0, norm="ortho")
         w = scipy.fft.irfft2(scipy.fft.rfft2(w, axes=(-2, -1)) / denom, s=(n, n), axes=(-2, -1))
         return scipy.fft.dst(w, type=1, axis=0, norm="ortho")

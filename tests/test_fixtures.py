@@ -1,5 +1,7 @@
 """Tests for the seeded band-limited fields and potentials."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -73,15 +75,18 @@ class TestSampleBandLimited:
     @pytest.mark.parametrize("max_mode", [1, 2, 3])
     def test_gathered_block_matches_assembled_block_bitwise(self, scheme, max_mode):
         """The coefficient block gathered from the draw equals the one assembled
-        from zeros, masks and concatenations, bit for bit, on the same stream."""
-        g = Grid(32, scheme)
-        for seed in range(8):
-            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-            for _ in range(3):
-                got = fixtures.sample_band_limited(g, ours, 0.05, max_mode)
-                want = band_limited_reference(g, theirs, 0.05, max_mode)
-                assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
-            assert ours.standard_normal() == theirs.standard_normal()
+        from zeros, masks and concatenations, bit for bit, on the same stream.
+        The three cases split the bands max_mode = 1 .. n by their residue mod 3,
+        so wavenumbers past n/2 alias at every size."""
+        for n in (4, 6, 32):
+            g = Grid(n, scheme)
+            for m, seed in itertools.product(range(max_mode, n + 1, 3), range(8)):
+                ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                for _ in range(3):
+                    got = fixtures.sample_band_limited(g, ours, 0.05, m)
+                    want = band_limited_reference(g, theirs, 0.05, m)
+                    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), (n, m)
+                assert ours.standard_normal() == theirs.standard_normal()
 
     def test_mode_table_stays_small(self):
         """Tables of n M and M^2 entries: a dense modes x n^2 table would take 69 MB here."""

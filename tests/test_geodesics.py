@@ -9,6 +9,7 @@ import pytest
 import helpers
 from helpers import (
     covariant_derivative,
+    forbid_transforms,
     inadmissible_lgmres,
     jacobi_residual,
     jacobian_oracle,
@@ -41,20 +42,6 @@ def constant_potential(grid, value):
 
 def no_krylov(op, rhs, **kwargs):
     raise AssertionError("lgmres called")
-
-
-def forbid_transforms(monkeypatch):
-    """Make every numpy.fft and scipy.fft transform raise AssertionError."""
-    import scipy.fft
-
-    def transform(*args, **kwargs):
-        raise AssertionError("FFT called")
-
-    for module in (scipy.fft, np.fft):
-        for name in ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
-                     "fftn", "ifftn", "rfftn", "irfftn"):
-            monkeypatch.setattr(module, name, transform)
-    monkeypatch.setattr(scipy.fft, "dst", transform)
 
 
 def scalar_epsilon_solution(lo, hi, times, eps):

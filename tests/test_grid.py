@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
-import scipy.fft
 
-from helpers import inner_product_du, integrate, poisson_bracket
+from helpers import forbid_transforms, inner_product_du, integrate, poisson_bracket
 
 from mal.errors import NotKahler
 from mal.fixtures import random_potential
@@ -13,9 +12,10 @@ from mal.grid import (
     axis_matrices,
     dx,
     dy,
-    fourier_symbols,
     gradient,
     laplacian,
+    laplacian_symbol,
+    ma_density,
     make_potential,
 )
 
@@ -212,15 +212,42 @@ class TestDerivativesAgainstReference:
                 tol = 1e-12 * np.abs(ref_lap).max()
                 assert np.abs(value - want[name]).max() <= tol, name
 
-    @pytest.mark.parametrize("n", [4, 16, 32, 64])
+    @pytest.mark.parametrize("n", [4, 6, 16, 32, 64])
     def test_symbols_match_reference(self, scheme, n):
-        """Each symbol, applied by real transforms, is its scheme's derivative."""
+        """laplacian_symbol times each mode cos 2 pi (kx x + ky y), |kx|, |ky| <= n,
+        aliased ones included, is the grid's laplacian of that mode."""
         g = Grid(n, scheme)
-        f = np.random.default_rng(n).standard_normal((3, n, n))
-        spec = scipy.fft.rfft2(f, axes=(-2, -1))
-        for mult, want in zip(fourier_symbols(g), reference_derivatives(f, n, scheme)):
-            got = scipy.fft.irfft2(mult * spec, s=(n, n), axes=(-2, -1))
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        x, y = g.coords()
+        k = np.arange(-n, n + 1)
+        lam = laplacian_symbol(g, k[:, None], k)
+        tol = 1e-12 * np.abs(lam).max()
+        for kx, row in zip(k, lam):
+            modes = np.cos(2.0 * np.pi * (kx * x + k[:, None, None] * y))
+            assert np.abs(laplacian(modes, g) - row[:, None, None] * modes).max() <= tol, kx
+
+
+class TestDerivativeLayer:
+    @pytest.mark.parametrize("n", [4, 6, 10, 14, 32])
+    def test_constants_along_the_axis_differentiate_to_zero(self, scheme, n):
+        """Exactly 0, not rounding: a constant Hamiltonian must flow by the identity."""
+        g = Grid(n, scheme)
+        rows = np.random.default_rng(n).standard_normal((3, 1, n))
+        const_in_x = np.broadcast_to(rows, (3, n, n))
+        assert not dx(const_in_x, g).any()
+        assert not dy(const_in_x.swapaxes(-1, -2), g).any()
+        for value in (3.7, 1.0 / 3.0, -1e38):
+            for d in gradient(np.full((2, n, n), value), g):
+                assert not d.any()
+
+    @pytest.mark.parametrize("n", [6, 32])
+    def test_runs_no_transform(self, monkeypatch, scheme, n):
+        """Once the axis matrices are built, every derivative is a matrix product or a stencil."""
+        g = Grid(n, scheme)
+        axis_matrices(g)
+        f = np.random.default_rng(n).standard_normal((2, n, n))
+        forbid_transforms(monkeypatch)
+        for out in (dx(f, g), dy(f, g), *gradient(f, g), laplacian(f, g), ma_density(f, g)):
+            assert out.shape == f.shape and np.isfinite(out).all()
 
 
 class TestAxisMatrices:

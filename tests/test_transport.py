@@ -353,10 +353,12 @@ class TestCovariantDerivative:
 
 class TestSymplecticFlow:
     def test_constant_hamiltonian_is_identity(self, scheme):
-        g = Grid(16, scheme)
-        u = make_potential(np.zeros((16, 16)), g)
-        phi = symplectic_flow(np.full((1, 16, 16), 3.0), u, substeps=4)
-        assert phi.is_identity
+        """At every grid size the command line accepts."""
+        for n in range(4, 66, 2):
+            g = Grid(n, scheme)
+            u = make_potential(np.zeros((n, n)), g)
+            phi = symplectic_flow(np.full((1, n, n), 3.0), u, substeps=4)
+            assert phi.is_identity, n
 
     def test_shear_flow_matches_analytic_solution(self, scheme):
         g = Grid(32, scheme)
