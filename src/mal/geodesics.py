@@ -52,6 +52,7 @@ from .grid import (
     Potential,
     _frozen,
     axis_matrices,
+    gradient,
     ma_density,
     make_potential,
 )
@@ -127,8 +128,7 @@ class _Linearization:
 def _linearize(fields, rho, dt, eps, grid) -> _Linearization:
     """Linearize the interior residual at a stack with positive densities rho."""
     udot, second = centered_differences(fields, dt)
-    d1, d1t = _axis_tables(grid, np.dtype(np.float64))[:2]
-    gx, gy = d1 @ udot, udot @ d1t
+    gx, gy = gradient(udot, grid)
     forcing = 0.5 * (gx * gx + gy * gy) + eps
     res = second - forcing / rho[1:-1]
     return _Linearization(res, float(np.abs(res).max()), rho, (gx, gy), forcing)
@@ -136,13 +136,13 @@ def _linearize(fields, rho, dt, eps, grid) -> _Linearization:
 
 @lru_cache(maxsize=32)
 def _axis_tables(grid: Grid, dtype: np.dtype) -> tuple[NDArray, ...]:
-    """d1, d1^T, d2, basis and basis^T of the grid's axis matrices in dtype.
+    """d1, d1t, d2, basis and basis^T of the grid's axis matrices in dtype.
 
-    The transposes are contiguous copies: a stacked product with a transposed
-    operand runs well below the speed of one with a contiguous matrix.
+    basis^T is a contiguous copy, as d1t is: a stacked product with a
+    transposed operand runs well below the speed of one with a contiguous matrix.
     """
-    d1, d2, basis, _ = axis_matrices(grid)
-    tables = tuple(np.array(a, dtype=dtype) for a in (d1, d1.T, d2, basis, basis.T))
+    d1, d1t, d2, basis, _ = axis_matrices(grid)
+    tables = tuple(np.array(a, dtype=dtype) for a in (d1, d1t, d2, basis, basis.T))
     for a in tables:
         a.setflags(write=False)
     return tables

@@ -11,9 +11,8 @@ potential u carries the Monge-Ampere density
 
 so the measure of a cell is rho_u(center)/N^2 (midpoint rule).  Two derivative
 schemes sit behind the same interface: a Fourier spectral one and 2nd-order
-central differences.  The spectral derivatives, and so every density, are the
-grid's real axis matrices applied along each axis, with no transform; the
-central ones are np.roll stencils.
+central differences.  Either scheme's derivatives, and so every density, are
+the grid's real axis matrices applied along each axis, with no transform.
 """
 
 from __future__ import annotations
@@ -39,8 +38,8 @@ class Grid:
     Args:
         n: number of cells per side, even and at least 4 so the schemes
             resolve the lowest modes.
-        scheme: "spectral" (Fourier derivatives, applied as the axis
-            matrices d1 and d2) or "central" (2nd-order central differences).
+        scheme: "spectral" (Fourier derivatives) or "central" (2nd-order
+            central differences); either is applied as the axis matrices.
     """
 
     n: int
@@ -74,10 +73,12 @@ class AxisMatrices(NamedTuple):
     """Real n x n matrices of a grid's scheme along one axis.
 
     Both schemes' operators are diagonal in Fourier modes, so along one axis
-    they are circulant: dx f = d1 @ f, dy f = f @ d1.T and laplacian f =
+    they are circulant: dx f = d1 @ f, dy f = f @ d1t and laplacian f =
     d2 @ f + f @ d2.
     d1: the first derivative; the spectral one has symbol 2 pi i k with the
     unpaired Nyquist mode zeroed, since its odd derivative has no real value.
+    d1t: d1.T as a contiguous copy; a stacked product with a transposed
+    operand runs at about half the speed of one with a contiguous matrix.
     d2: the symmetric second derivative, of symbol laplacian_symbol(grid, k, 0).
     basis, eigen: d2 = basis @ diag(eigen) @ basis.T with basis orthonormal,
     from numpy.linalg.eigh.
@@ -87,6 +88,7 @@ class AxisMatrices(NamedTuple):
     """
 
     d1: NDArray[np.float64]
+    d1t: NDArray[np.float64]
     d2: NDArray[np.float64]
     basis: NDArray[np.float64]
     eigen: NDArray[np.float64]
@@ -108,26 +110,22 @@ def axis_matrices(grid: Grid) -> AxisMatrices:
         d1 = (n / 2.0) * (up - up.T)
         d2 = float(n**2) * (up + up.T - 2.0 * np.eye(n))
     eigen, basis = np.linalg.eigh(d2)
-    table = AxisMatrices(d1, d2, basis, eigen)
+    table = AxisMatrices(d1, np.ascontiguousarray(d1.T), d2, basis, eigen)
     for a in table:
         a.setflags(write=False)
     return table
 
 
 def dx(f: GridField, grid: Grid) -> GridField:
-    """Partial derivative along x (array axis -2); the spectral one is d1 @ f after
-    subtracting each column's first value, so a field constant in x maps to exactly 0."""
-    if grid.scheme == "spectral":
-        return axis_matrices(grid).d1 @ (f - f[..., :1, :])
-    return (np.roll(f, -1, axis=-2) - np.roll(f, 1, axis=-2)) * (grid.n / 2.0)
+    """Partial derivative along x (array axis -2): d1 @ f after subtracting each
+    column's first value, so a field constant in x maps to exactly 0."""
+    return axis_matrices(grid).d1 @ (f - f[..., :1, :])
 
 
 def dy(f: GridField, grid: Grid) -> GridField:
-    """Partial derivative along y (array axis -1); the spectral one is
-    f @ d1.T after subtracting each row's first value, as in dx."""
-    if grid.scheme == "spectral":
-        return (f - f[..., :, :1]) @ axis_matrices(grid).d1.T
-    return (np.roll(f, -1, axis=-1) - np.roll(f, 1, axis=-1)) * (grid.n / 2.0)
+    """Partial derivative along y (array axis -1): f @ d1t after subtracting
+    each row's first value, as in dx."""
+    return (f - f[..., :, :1]) @ axis_matrices(grid).d1t
 
 
 def gradient(f: GridField, grid: Grid) -> tuple[GridField, GridField]:
@@ -136,23 +134,11 @@ def gradient(f: GridField, grid: Grid) -> tuple[GridField, GridField]:
 
 
 def laplacian(f: GridField, grid: Grid) -> GridField:
-    """Periodic Laplacian; annihilates constants, so the output mean is ~0.
-
-    The spectral one is d2 @ f + f @ d2 with the grid's axis matrix, taken
-    after subtracting each field's corner value, so that an exactly constant
-    field maps to exactly 0, as under the Fourier symbol.
-    """
-    if grid.scheme == "spectral":
-        d2 = axis_matrices(grid).d2
-        f = f - f[..., :1, :1]
-        return d2 @ f + f @ d2
-    return (
-        np.roll(f, -1, axis=-2)
-        + np.roll(f, 1, axis=-2)
-        + np.roll(f, -1, axis=-1)
-        + np.roll(f, 1, axis=-1)
-        - 4.0 * f
-    ) * float(grid.n**2)
+    """Periodic Laplacian d2 @ f + f @ d2, taken after subtracting each field's
+    corner value, so that an exactly constant field maps to exactly 0."""
+    d2 = axis_matrices(grid).d2
+    f = f - f[..., :1, :1]
+    return d2 @ f + f @ d2
 
 
 def ma_density(f: GridField, grid: Grid) -> GridField:

@@ -238,12 +238,14 @@ class TestSinglePrecisionKrylov:
                 solve_epsilon_geodesic(p, initial=initial)
 
     def test_operator_beyond_float32_raises_before_krylov(self, monkeypatch):
-        """epsilon = 1e39 puts c - mean(c) beyond the float32 range."""
+        """A horizon of 1e-20 puts the velocity-gradient weights
+        grad udot / (2 dt rho), about 1e39, beyond the float32 range, while
+        the float64 residual (about 1e37) stays finite."""
         monkeypatch.setattr(geodesics, "lgmres", no_krylov)
         g = Grid(8)
         rng = np.random.default_rng(34)
         p = EpsGeodesicProblem(
-            random_potential(g, rng), random_potential(g, rng), (0.0, 1.0), 1e39, time_steps=4
+            random_potential(g, rng), random_potential(g, rng), (0.0, 1e-20), 1.0, time_steps=4
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -267,6 +269,17 @@ class TestNewtonKernels:
         y = rng.standard_normal(7 * 16 * 16)
         assert np.isfinite(op.matvec(y)).all()
         assert np.isfinite(precondition(y)).all()
+
+    def test_constant_stack_has_zero_velocity_gradient(self, scheme):
+        """The residual's grad udot is grid.gradient: exactly 0 on a path constant in space."""
+        s = np.linspace(0.0, 1.0, 9)
+        slices = (np.linspace(-0.3, 0.5, 9) + 0.1 * s**2)[:, None, None]
+        for n in range(4, 65, 2):
+            g = Grid(n, scheme)
+            fields = np.broadcast_to(slices, (9, n, n))
+            lin = geodesics._linearize(fields, ma_density(fields, g), 0.125, 0.3, g)
+            for d in lin.grad_udot:
+                assert not d.any(), n
 
     def test_continuation_runs_no_transform(self, monkeypatch, scheme):
         """Densities, residuals, applies and warm starts of a continuation are matrix products."""

@@ -207,10 +207,11 @@ class TestDerivativesAgainstReference:
         want = {"dx": ref_x, "dy": ref_y, "lap": ref_lap, "gx": ref_x, "gy": ref_y}
         for name, value in got.items():
             if scheme == "central":
-                assert np.array_equal(value, want[name]), name
+                # the axis matrices sum the stencil's terms in another order
+                tol = 4 * EPS * np.abs(want[name]).max()
             else:
                 tol = 1e-12 * np.abs(ref_lap).max()
-                assert np.abs(value - want[name]).max() <= tol, name
+            assert np.abs(value - want[name]).max() <= tol, name
 
     @pytest.mark.parametrize("n", [4, 6, 16, 32, 64])
     def test_symbols_match_reference(self, scheme, n):
@@ -241,7 +242,7 @@ class TestDerivativeLayer:
 
     @pytest.mark.parametrize("n", [6, 32])
     def test_runs_no_transform(self, monkeypatch, scheme, n):
-        """Once the axis matrices are built, every derivative is a matrix product or a stencil."""
+        """Once the axis matrices are built, every derivative is a matrix product."""
         g = Grid(n, scheme)
         axis_matrices(g)
         f = np.random.default_rng(n).standard_normal((2, n, n))
@@ -256,7 +257,8 @@ class TestAxisMatrices:
     @pytest.mark.parametrize("n", [4, 8, 32, 64])
     def test_match_grid_derivatives(self, scheme, n):
         g = Grid(n, scheme)
-        d1, d2, _, _ = axis_matrices(g)
+        d1, d1t, d2, _, _ = axis_matrices(g)
+        assert np.array_equal(d1t, d1.T) and d1t.flags.c_contiguous
         f = np.random.default_rng(n).standard_normal((3, n, n))  # full spectrum, Nyquist included
         pairs = (
             (d1 @ f, dx(f, g)),
@@ -268,14 +270,14 @@ class TestAxisMatrices:
 
     @pytest.mark.parametrize("n", [4, 8, 32, 64])
     def test_orthonormal_eigenbasis(self, scheme, n):
-        _, d2, basis, eigen = axis_matrices(Grid(n, scheme))
+        _, _, d2, basis, eigen = axis_matrices(Grid(n, scheme))
         assert np.array_equal(d2, d2.T)
         assert np.abs(basis.T @ basis - np.eye(n)).max() <= 1e-13
         assert np.abs(basis * eigen @ basis.T - d2).max() <= 1e-13 * np.abs(d2).max()
 
     @pytest.mark.parametrize("n", [4, 8, 32, 64])
     def test_central_stencils_annihilate_constants_exactly(self, n):
-        d1, d2, _, _ = axis_matrices(Grid(n, "central"))
+        d1, _, d2, _, _ = axis_matrices(Grid(n, "central"))
         ones = np.ones(n)
         assert np.array_equal(d1 @ ones, np.zeros(n))
         assert np.array_equal(d2 @ ones, np.zeros(n))

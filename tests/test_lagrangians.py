@@ -336,6 +336,10 @@ class TestRowKernels:
         with pytest.raises(ValueError, match="stack"):
             evaluate_rows(Power(1.0), np.ones(4), np.full(4, 0.25))
 
+    def test_rows_need_matching_weights(self):
+        with pytest.raises(ValueError, match="equal shapes"):
+            evaluate_rows(Power(1.0), np.ones((2, 4)), np.full((2, 5), 0.2))
+
 
 class TestInvariance:
     def test_identity_pair(self):

@@ -98,3 +98,16 @@ def test_every_public_name_is_reached_outside_unit_tests(module):
         if name not in elsewhere | _references(own, skip=stmt)
     ]
     assert unreached == []
+
+
+def test_grid_derivatives_have_one_path():
+    """In grid.py only the grid type, laplacian_symbol and axis_matrices read
+    .scheme: every derivative runs through the axis matrices on both schemes."""
+    tree = ast.parse((SRC / "grid.py").read_text())
+    readers = {
+        getattr(stmt, "name", "<module>")
+        for stmt in tree.body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Attribute) and node.attr == "scheme"
+    }
+    assert readers <= {"Grid", "laplacian_symbol", "axis_matrices"}
