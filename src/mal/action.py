@@ -11,7 +11,10 @@ competitors, which turns the minimization into a solve.  A LeastActionQuery
 owns that solve, made on first use and shared by every Lagrangian asked of
 it.  Randomized piecewise-linear competitor paths act as upper-bound witnesses
 in the verification experiments, never as the estimator; one set is drawn per
-endpoint pair and seed and shared by the Lagrangians checked against it.
+endpoint pair and seed and shared by the Lagrangians checked against it.  The
+set is drawn in blocks of candidate knots and kept as read-only stacks of knot
+times, fields and densities, which are priced a few paths per row call without
+building a path.
 
 The verification operations return the VerificationReport of
 mal.lagrangians for the structural facts: convexity of L along Jacobi fields,
@@ -34,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GenerationFailed, HomogeneityRequired
-from .fixtures import sample_band_limited
+from .fixtures import _mode_table, band_limited_rows
 from .geodesics import (
     EpsGeodesicProblem,
     jacobi_field,
@@ -42,10 +45,10 @@ from .geodesics import (
     sup_distance,
     weak_geodesic,
 )
-from .grid import Potential, WeightedValues, _frozen
+from .grid import Potential, WeightedValues, check_potentials
 from .lagrangians import LagrangianSpec, VerificationReport, evaluate, evaluate_rows
 from .rearrangement import decreasing_rearrangement, step_l1_distance
-from .transport import PotentialPath
+from .transport import PotentialPath, interval_quotients
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,15 +94,32 @@ def path_action(spec: LagrangianSpec, path: PotentialPath) -> float:
     smooth path, such as a solver's, the quotient is the midpoint velocity to
     second order.  The intervals go to the Lagrangian as one stack of rows.
     """
-    dt = np.diff(path.times)
-    weights = 0.5 * (path.densities[:-1] + path.densities[1:]) / path.grid.n**2
-    return float(np.sum(dt * _stack_values(spec, path.interval_velocity, weights)))
+    return float(_actions(spec, path.times, path.interval_velocity, path.densities))
+
+
+def _actions(spec: LagrangianSpec, times, velocities, densities) -> np.ndarray:
+    """path_action of each path of a stack, from its knot times (..., K), its
+    interval velocities (..., K - 1, n, n) and its knot densities (..., K, n, n);
+    every interval of the stack goes to the Lagrangian in one row call."""
+    dt = np.diff(times, axis=-1)
+    n = densities.shape[-1]
+    weights = 0.5 * (densities[..., :-1, :, :] + densities[..., 1:, :, :]) / n**2
+    return np.sum(dt * _stack_values(spec, velocities, weights), axis=-1)
+
+
+def _with_ends(first: np.ndarray, interior: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """(p, K + 2, n, n) stack of p paths' knots from their (p, K, n, n) interior."""
+    shape = (len(interior), 1, *first.shape)
+    return np.concatenate(
+        (np.broadcast_to(first, shape), interior, np.broadcast_to(last, shape)), axis=1
+    )
 
 
 def _stack_values(spec: LagrangianSpec, fields: np.ndarray, masses: np.ndarray) -> np.ndarray:
-    """L of each field of a (k, n, n) stack against the cell masses of its slice."""
-    k = len(fields)
-    return evaluate_rows(spec, fields.reshape(k, -1), masses.reshape(k, -1))
+    """L of each field of a (..., n, n) stack against the cell masses of its slice."""
+    cells = fields.shape[-2] * fields.shape[-1]
+    values = evaluate_rows(spec, fields.reshape(-1, cells), masses.reshape(-1, cells))
+    return values.reshape(fields.shape[:-2])
 
 
 def least_action(q: LeastActionQuery) -> float:
@@ -115,31 +135,36 @@ def least_action(q: LeastActionQuery) -> float:
 _KNOT_BUDGET = 4  # interior knots per competitor path
 _AMPLITUDE = 0.05  # first amplitude of a competitor knot draw
 _MAX_MODE = 3  # highest Fourier mode of a competitor knot draw
+_TRIES = 51  # candidates per knot at most: the first amplitude and 50 halvings
+_BLOCK = 6  # candidates per knot judged at once, and drawn ahead per knot to come
+_CHUNK = 5  # competitor paths priced per evaluate_rows call
 
-# The last competitor set drawn: its competitor_paths key and, per path, the
-# knot times and the interior knots.  One slot, so it holds one set at most.
+# The last competitor set drawn: its competitor_set key and its read-only
+# stacks.  One slot, so it holds one set at most.
 _COMPETITORS: dict = {}
 
 
-def competitor_paths(
+def competitor_set(
     start: Potential, end: Potential, duration: float, count: int, seed: int
-) -> list[PotentialPath]:
-    """Random admissible piecewise-linear paths between fixed endpoints.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Random admissible piecewise-linear paths between fixed endpoints, as stacks.
 
-    Each path has four interior knots at jittered times; each interior
-    knot perturbs the linear interpolant by a random band-limited field,
-    redrawn with halved amplitude while the candidate leaves the admissible
-    set.  The density is affine in the field, so a draw at s = t / duration
-    has density (1 - s) rho_start + s rho_end + (lap(draw) - its mean) / 2,
-    from the Laplacian drawn with the field; the knot is admitted when that
-    density is positive and is built from it, as the solver builds its knots,
-    so no transform runs.  Deterministic for a fixed seed.
+    Returns (times, fields, densities): per path its six knot times, shape
+    (count, 6), and the fields and densities of its four interior knots, shape
+    (count, 4, n, n); the end knots are start and end.  The inner times are
+    jittered; each interior knot perturbs the linear interpolant by a random
+    band-limited field, redrawn with halved amplitude while the candidate
+    leaves the admissible set.  The density is affine in the field, so a draw
+    at s = t / duration has density (1 - s) rho_start + s rho_end +
+    (lap(draw) - its mean) / 2, from the Laplacian drawn with the field; the
+    knot is admitted when that density is positive and is built from it, as
+    the solver builds its knots, so no transform runs.  Every knot passes the
+    checks of Potential.  Deterministic for a fixed seed.
 
     The last set drawn is kept in a one-slot memo keyed by the arguments,
     endpoints by identity, so the Lagrangians of one least-action check share
-    one draw.  The memo holds the knot times and the interior knot Potentials
-    only; every call wraps them in fresh paths, whose cached stacks therefore
-    die with the caller's loop.  A different key clears the slot first.
+    one draw: every call with that key returns the same read-only stacks.  A
+    different key clears the slot first.
 
     Raises:
         GenerationFailed: if a knot stays inadmissible after 50 shrinkages.
@@ -153,29 +178,89 @@ def competitor_paths(
     if drawn is None:
         _COMPETITORS.clear()
         rng = np.random.default_rng(seed)
-        drawn = []
-        for _ in range(count):
-            times = np.linspace(0.0, duration, _KNOT_BUDGET + 2)
-            spacing = duration / (_KNOT_BUDGET + 1)
-            times[1:-1] += 0.3 * spacing * rng.uniform(-1.0, 1.0, size=_KNOT_BUDGET)
-            times.setflags(write=False)
-            drawn.append((times, tuple(_knot(start, end, t / duration, rng) for t in times[1:-1])))
-        _COMPETITORS[key] = drawn
-    return [PotentialPath(times, (start, *knots, end)) for times, knots in drawn]
+        n = start.grid.n
+        spacing = duration / (_KNOT_BUDGET + 1)
+        times = np.empty((count, _KNOT_BUDGET + 2))
+        fields, densities = np.empty((2, count, _KNOT_BUDGET, n, n))
+        for i in range(count):
+            t = np.linspace(0.0, duration, _KNOT_BUDGET + 2)
+            t[1:-1] += 0.3 * spacing * rng.uniform(-1.0, 1.0, size=_KNOT_BUDGET)
+            times[i] = t
+            fields[i], densities[i] = _knots(start, end, t[1:-1] / duration, rng)
+        if not (np.isfinite(times).all() and np.all(np.diff(times) > 0.0)):
+            raise ValueError("knot times must be finite and strictly increasing")
+        check_potentials(fields, densities)
+        for stack in (times, fields, densities):
+            stack.setflags(write=False)
+        drawn = _COMPETITORS[key] = (times, fields, densities)
+    return drawn
 
 
-def _knot(start: Potential, end: Potential, s: float, rng: np.random.Generator) -> Potential:
-    """One competitor knot at time fraction s, drawn as competitor_paths describes."""
-    base = (1.0 - s) * start.field + s * end.field
-    density = (1.0 - s) * start.density + s * end.density
-    amp = _AMPLITUDE
-    for _ in range(51):
-        draw, lap = sample_band_limited(start.grid, rng, amp, _MAX_MODE)
-        amp *= 0.5
-        knot_density = density + 0.5 * (lap - lap.mean())
-        if knot_density.min() > 0.0:
-            return Potential(start.grid, _frozen(base + draw), _frozen(knot_density))
-    raise GenerationFailed(f"no admissible knot at s = {s:.4g} after 50 amplitude shrinkages")
+def _knots(
+    start: Potential, end: Potential, fractions: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """(fields, densities) of one competitor path's interior knots at the time
+    fractions, drawn as competitor_set describes.
+
+    A knot's i-th candidate has amplitude _AMPLITUDE * 2^-i, and the knot
+    judges _BLOCK candidates at once.  They come from blocks of _BLOCK per
+    knot still to come, made in one call (band_limited_rows).  When a block
+    is spent, and after the last knot, the normals of its unused candidates
+    go back: rng's state is restored and the used draws are drawn again, so
+    the stream, and every knot, are those of one draw at a time.
+    """
+    grid = start.grid
+    fields, densities = np.empty((2, len(fractions), grid.n, grid.n))
+    state, used = rng.bit_generator.state, 0
+    block = band_limited_rows(grid, rng, _BLOCK * len(fractions), _MAX_MODE)
+    for j, s in enumerate(fractions):
+        density = (1.0 - s) * start.density + s * end.density
+        for first in range(0, _TRIES, _BLOCK):
+            rows = min(_BLOCK, _TRIES - first)
+            if used + rows > len(block[0]):
+                state, used = _hand_back(rng, state, used, grid), 0
+                block = band_limited_rows(grid, rng, _BLOCK * (len(fractions) - j), _MAX_MODE)
+            f, lap = (b[used : used + rows] for b in block)
+            sup = np.abs(f).reshape(rows, -1).max(axis=-1)
+            amplitude = _AMPLITUDE * 0.5 ** np.arange(first, first + rows)
+            scale = np.divide(amplitude, sup, out=np.zeros(rows), where=sup > 0.0)[:, None, None]
+            lap = lap * scale
+            candidates = density + 0.5 * (lap - lap.reshape(rows, -1).mean(-1)[:, None, None])
+            admitted = np.flatnonzero(candidates.reshape(rows, -1).min(axis=-1) > 0.0)
+            if admitted.size:
+                i = admitted[0]
+                fields[j] = (1.0 - s) * start.field + s * end.field + f[i] * scale[i]
+                densities[j] = candidates[i]
+                used += i + 1
+                break
+            used += rows
+        else:
+            raise GenerationFailed(
+                f"no admissible knot at s = {s:.4g} after {_TRIES - 1} amplitude shrinkages"
+            )
+    _hand_back(rng, state, used, grid)
+    return fields, densities
+
+
+def _hand_back(rng: np.random.Generator, state: dict, used: int, grid) -> dict:
+    """Restore rng to state and draw the normals of `used` knot draws on grid
+    again; the state that leaves."""
+    rng.bit_generator.state = state
+    _, draws, _, _ = _mode_table(grid, _MAX_MODE)
+    rng.standard_normal((used, draws))
+    return rng.bit_generator.state
+
+
+def competitor_paths(
+    start: Potential, end: Potential, duration: float, count: int, seed: int
+) -> list[PotentialPath]:
+    """The competitor set of competitor_set as paths, its interior knots
+    validated Potentials on views of the set's stacks; fresh paths every call."""
+    times, fields, densities = competitor_set(start, end, duration, count, seed)
+    return [
+        PotentialPath(t, (start, *(Potential(start.grid, *k) for k in zip(f, d)), end))
+        for t, f, d in zip(times, fields, densities)
+    ]
 
 
 def verify_least_action(
@@ -200,9 +285,14 @@ def verify_least_action(
         if not np.array_equal(knot.field, end.field):
             raise ValueError("geodesic must join the query endpoints")
     g_action = path_action(q.spec, geodesic)
-    paths = competitor_paths(q.start, q.end, q.duration, count, seed)
-    # each path is dropped once measured, so its cached stacks do not pile up
-    margins = [path_action(q.spec, paths.pop(0)) - g_action for _ in range(count)]
+    times, fields, densities = competitor_set(q.start, q.end, q.duration, count, seed)
+    # a few paths per call, so the stacks of the whole set never coexist
+    margins = []
+    for chunk in range(0, count, _CHUNK):
+        t = times[chunk : chunk + _CHUNK]
+        f = _with_ends(q.start.field, fields[chunk : chunk + _CHUNK], q.end.field)
+        d = _with_ends(q.start.density, densities[chunk : chunk + _CHUNK], q.end.density)
+        margins += (_actions(q.spec, t, interval_quotients(t, f), d) - g_action).tolist()
     worst = max(0.0, -min(margins))
     return VerificationReport(
         "least-action",

@@ -36,6 +36,21 @@ def _mode_table(grid: Grid, max_mode: int) -> tuple[np.ndarray, ...]:
     return cs, np.intp(draws), np.block([[a, b], [b, a]]), sign * np.stack((np.ones_like(lap), lap))
 
 
+def band_limited_rows(
+    grid: Grid, rng: np.random.Generator, rows: int, max_mode: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(fields, laplacians), (rows, n, n) each, of rows consecutive unscaled draws:
+    the trig sums sample_band_limited scales to its amplitude, in one batched product
+    and from one call for all their normals, so the stream is that of rows draws.  The
+    product keeps the transposed view cs.T: a contiguous copy changes the rounding of
+    some bands."""
+    cs, draws, idx, sw = _mode_table(grid, max_mode)
+    z = np.zeros((rows, draws + 1))
+    z[:, :draws] = rng.standard_normal((rows, draws))
+    out = cs @ (z[:, idx][:, None] * sw) @ cs.T
+    return out[:, 0], out[:, 1]
+
+
 def sample_band_limited(
     grid: Grid, rng: np.random.Generator, amplitude: float, max_mode: int
 ) -> tuple[GridField, GridField]:
@@ -44,11 +59,9 @@ def sample_band_limited(
     symbol gives the Laplacian.  Raises ValueError unless 0 <= amplitude < inf."""
     if not 0.0 <= amplitude < np.inf:
         raise ValueError(f"amplitude must be finite and nonnegative, got {amplitude!r}")
-    cs, draws, idx, sw = _mode_table(grid, max_mode)
-    z = np.append(rng.standard_normal(draws), 0.0)
-    f, lap = cs @ (z[idx] * sw) @ cs.T
+    f, lap = band_limited_rows(grid, rng, 1, max_mode)
     scale = amplitude / sup if (sup := float(np.abs(f).max())) else 0.0
-    return f * scale, lap * scale
+    return f[0] * scale, lap[0] * scale
 
 
 def random_band_limited(

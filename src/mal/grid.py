@@ -160,9 +160,10 @@ class Potential:
 
     Construct through make_potential, which computes the density, or from a
     density already computed: the geodesic solver's knots carry the ma_density
-    of its iterate, and competitor knots the density their admissibility
-    verdict read.  Fields or densities that are not finite, or densities not
-    positive everywhere, are rejected here.
+    of its iterate.  Fields or densities that are not finite, or densities not
+    positive everywhere, are rejected here, and check_potentials applies the
+    same checks to stacks, such as the competitor knots of mal.action, which
+    carry the density their admissibility verdict read.
     """
 
     grid: Grid
@@ -173,14 +174,22 @@ class Potential:
         n = self.grid.n
         if self.field.shape != (n, n) or self.density.shape != (n, n):
             raise ValueError("field and density must have shape (n, n)")
-        if not (np.isfinite(self.field).all() and np.isfinite(self.density).all()):
-            raise NotKahler(np.nan)
-        m = float(self.density.min())
-        if m <= 0.0:
-            raise NotKahler(m)
-        mean = float(self.density.mean())
-        if abs(mean - 1.0) > 10 * np.finfo(float).eps:
-            raise ValueError(f"density mean must be 1, got {mean!r}")
+        check_potentials(self.field, self.density)
+
+
+def check_potentials(fields: NDArray, densities: NDArray) -> None:
+    """The checks of Potential on (..., n, n) stacks of fields and their densities:
+    NotKahler unless all are finite and every density is positive, ValueError unless
+    the mean of each density is 1 within 10 machine epsilons."""
+    if not (np.isfinite(fields).all() and np.isfinite(densities).all()):
+        raise NotKahler(np.nan)
+    m = float(densities.min())
+    if m <= 0.0:
+        raise NotKahler(m)
+    means = densities.reshape(-1, densities.shape[-2] * densities.shape[-1]).mean(axis=-1)
+    off = np.abs(means - 1.0) > 10 * np.finfo(float).eps
+    if off.any():
+        raise ValueError(f"density mean must be 1, got {float(means[off][0])!r}")
 
 
 def make_potential(f: GridField, grid: Grid) -> Potential:

@@ -186,12 +186,18 @@ class PotentialPath:
     @cached_property
     def interval_velocity(self) -> NDArray[np.float64]:
         """One difference quotient (u_{i+1} - u_i) / (t_{i+1} - t_i) per interval."""
-        return _frozen(np.diff(self.fields, axis=0) / np.diff(self.times)[:, None, None])
+        return _frozen(interval_quotients(self.times, self.fields))
 
     @cached_property
     def knot_velocity(self) -> NDArray[np.float64]:
         """One velocity field per knot, by time_derivative."""
         return _frozen(self.time_derivative(self.fields))
+
+
+def interval_quotients(times: NDArray, fields: NDArray) -> NDArray[np.float64]:
+    """Difference quotients over each interval of (..., K) knot times and
+    (..., K, n, n) knot fields: one path, as in interval_velocity, or a stack."""
+    return np.diff(fields, axis=-3) / np.diff(times, axis=-1)[..., None, None]
 
 
 def centered_differences(stack: NDArray[np.float64], dt: float) -> tuple[NDArray, NDArray]:

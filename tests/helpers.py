@@ -1,16 +1,18 @@
 """Shared generators and oracles for tests.
 
 Generators: exact-arithmetic weighted sets, small fields, band-limited draws
-assembled the long way with their own rfft2-half Laplacian symbol, stand-in
-and recording Krylov solvers, and a patch that makes every transform raise.
+assembled the long way with their own rfft2-half Laplacian symbol, competitor
+knots drawn and built one candidate at a time, stand-in and recording Krylov
+solvers, and a patch that makes every transform raise.
 Oracles that no program path calls, each checked by its own unit tests: the
 Newton operators composed from stencils, the composition of two transport maps,
 transport along piecewise-linear paths segment by segment, the grid's
 cometric pairing, Poisson bracket and integral, the covariant derivative
 along a path, the Jacobi-equation residual and time convexity of a solved
 path, the similar-ordering test, the Hardy-Littlewood pairing on a common
-refinement, and the Lagrangians' property checks (invariance, fiber
-convexity, Lipschitz constants, strong continuity).
+refinement, the weak Lorentz value by merging tied levels, and the
+Lagrangians' property checks (invariance, fiber convexity, Lipschitz
+constants, strong continuity).
 """
 
 from typing import Sequence
@@ -19,7 +21,8 @@ import numpy as np
 import scipy.fft
 from scipy.sparse.linalg import LinearOperator
 
-from mal.fixtures import random_potential
+from mal.errors import NotKahler
+from mal.fixtures import random_band_limited, random_potential
 from mal.geodesics import GeodesicSolution
 from mal.grid import (
     Grid,
@@ -30,6 +33,7 @@ from mal.grid import (
     dy,
     gradient,
     laplacian,
+    make_potential,
 )
 from mal.lagrangians import (
     LagrangianSpec,
@@ -38,7 +42,12 @@ from mal.lagrangians import (
     VerificationReport,
     evaluate,
 )
-from mal.rearrangement import _refinement, decreasing_rearrangement, equidistributed
+from mal.rearrangement import (
+    _refinement,
+    decreasing_rearrangement,
+    descending_rows,
+    equidistributed,
+)
 from mal.transport import (
     PotentialPath,
     TransportMap,
@@ -153,6 +162,47 @@ def band_limited_reference(grid, rng, amplitude, max_mode):
     f, lap = cs @ (coef * np.stack((np.ones_like(lap), lap))) @ cs.T
     scale = amplitude / sup if (sup := float(np.abs(f).max())) else 0.0
     return f * scale, lap * scale
+
+
+def draw_then_build_competitors(u_a, u_b, duration, count, seed, budget, amplitude):
+    """(times, knots) per competitor path, drawn one candidate at a time and built
+    through make_potential, which rejects a candidate by raising NotKahler: the
+    loop whose knots mal.action.competitor_set must reproduce bit for bit."""
+    g = u_a.grid
+    rng = np.random.default_rng(seed)
+    paths = []
+    for _ in range(count):
+        times = np.linspace(0.0, duration, budget + 2)
+        times[1:-1] += 0.3 * duration / (budget + 1) * rng.uniform(-1.0, 1.0, size=budget)
+        knots = []
+        for t in times[1:-1]:
+            s = t / duration
+            base = (1.0 - s) * u_a.field + s * u_b.field
+            amp = amplitude
+            for _ in range(51):
+                try:
+                    knots.append(make_potential(base + random_band_limited(g, rng, amp), g))
+                    break
+                except NotKahler:
+                    amp *= 0.5
+            else:
+                raise AssertionError("the reference loop found no admissible knot")
+        paths.append((times, knots))
+    return paths
+
+
+def lorentz_merged_rows(alpha, values, weights):
+    """The weak Lorentz value of each row with every run of tied levels merged:
+    the prefixes are charged at each run's last cell over the run's mass."""
+    levels, w = descending_rows(np.abs(values), weights)
+    running = np.cumsum(w, axis=-1)
+    last = np.ones(levels.shape, dtype=bool)
+    last[..., :-1] = levels[..., 1:] != levels[..., :-1]
+    run_end = np.maximum.accumulate(np.where(last, running, 0.0), axis=-1)
+    start = np.zeros_like(running)
+    start[..., 1:] = run_end[..., :-1]
+    prefix = np.cumsum(np.where(last, levels * (running - start), 0.0), axis=-1)
+    return np.max(prefix / running**alpha, axis=-1)
 
 
 def inadmissible_lgmres(n, amplitude=1e12):

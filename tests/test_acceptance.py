@@ -49,6 +49,7 @@ from mal.geodesics import (
 )
 from mal.action import (
     LeastActionQuery,
+    competitor_paths,
     least_action,
     midpoint_convexity_margin,
     monotone_limit_check,
@@ -339,7 +340,7 @@ def test_08_least_action_beats_randomized_competitors():
     g = Grid(32)
     specs = [Power(1.0), Power(2.0), LorentzWeak(0.5)]
     started = time.perf_counter()
-    violations = 0
+    violations = joining = 0
     min_margin = np.inf
     for fixture_seed in range(5):
         rng = np.random.default_rng(80 + fixture_seed)
@@ -351,12 +352,16 @@ def test_08_least_action_beats_randomized_competitors():
             rep = verify_least_action(q, count=100, seed=fixture_seed, tol=5e-3, geodesic=geod)
             violations += sum(m < -5e-3 for m in rep.provenance["margins"])
             min_margin = min(min_margin, min(rep.provenance["margins"]))
+        # the priced set, as paths whose every knot is a validated Potential
+        paths = competitor_paths(start, end, 1.0, 100, fixture_seed)
+        joining += sum(p.knots[0] is start and p.knots[-1] is end for p in paths)
     elapsed = time.perf_counter() - started
-    ok = violations == 0 and elapsed < 600.0
+    ok = violations == 0 and joining == 500 and elapsed < 600.0
     verdict(
         "08 principle of least action",
         ok,
-        f"1500 competitor checks, {violations} violations, min margin {min_margin:.2e}, {elapsed:.0f}s",
+        f"1500 competitor checks on {joining} admissible paths, {violations} violations, "
+        f"min margin {min_margin:.2e}, {elapsed:.0f}s",
     )
 
 

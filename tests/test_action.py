@@ -1,10 +1,13 @@
 """Tests for path actions, least action, and the verification experiments."""
 
 import itertools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+
+from helpers import draw_then_build_competitors
 
 from mal import action, fixtures, geodesics
 from mal.action import (
@@ -22,7 +25,7 @@ from mal.action import (
     verify_noether,
 )
 from mal.errors import GenerationFailed, HomogeneityRequired, NotKahler
-from mal.fixtures import random_band_limited, random_potential
+from mal.fixtures import random_potential
 from mal.geodesics import EpsGeodesicProblem, solve_epsilon_geodesic, weak_geodesic
 from mal.grid import SCHEMES, Grid, ma_density, make_potential
 from mal.lagrangians import LorentzWeak, Orlicz, Power, SupFamily, evaluate
@@ -292,15 +295,23 @@ class TestCompetitorPaths:
         assert not np.array_equal(first[0].fields, other[0].fields)
 
     def test_repeat_call_wraps_memoized_knots_in_fresh_paths(self):
+        """Repeat calls return the memo's read-only stacks themselves, and the paths
+        wrap views of them in fresh Potentials."""
         g = Grid(16)
         rng = np.random.default_rng(3)
         u_a, u_b = random_potential(g, rng), random_potential(g, rng)
-        first = competitor_paths(u_a, u_b, 1.0, 2, seed=5)
-        again = competitor_paths(u_a, u_b, 1.0, 2, seed=5)
-        for a, b in zip(first, again):
-            assert a is not b
-            assert a.times is b.times
-            assert all(k is l for k, l in zip(a.knots, b.knots))
+        first = action.competitor_set(u_a, u_b, 1.0, 2, seed=5)
+        again = action.competitor_set(u_a, u_b, 1.0, 2, seed=5)
+        assert [a.shape for a in first] == [(2, 6), (2, 4, 16, 16), (2, 4, 16, 16)]
+        for a, b in zip(first, again, strict=True):
+            assert a is b and not a.flags.writeable
+        paths = competitor_paths(u_a, u_b, 1.0, 2, seed=5)
+        for path, repeat in zip(paths, competitor_paths(u_a, u_b, 1.0, 2, seed=5)):
+            assert path is not repeat and path.knots[1] is not repeat.knots[1]
+            assert np.shares_memory(path.times, first[0])
+            for knot in path.knots[1:-1]:
+                assert np.shares_memory(knot.field, first[1])
+                assert np.shares_memory(knot.density, first[2])
 
     def test_affine_verdict_matches_make_potential(self):
         """The draw's own Laplacian judges it as make_potential would, on 400 draws per
@@ -330,25 +341,7 @@ class TestCompetitorPaths:
         u_a, u_b = random_potential(g, rng, 0.02), random_potential(g, rng, 0.02)
         count, budget, amplitude, duration = 8, action._KNOT_BUDGET, action._AMPLITUDE, 1.0
         # the loop the affine test replaced: build a Potential for every draw
-        rng = np.random.default_rng(21)
-        expected = []
-        for _ in range(count):
-            times = np.linspace(0.0, duration, budget + 2)
-            times[1:-1] += 0.3 * duration / (budget + 1) * rng.uniform(-1.0, 1.0, size=budget)
-            knots = []
-            for t in times[1:-1]:
-                s = t / duration
-                base = (1.0 - s) * u_a.field + s * u_b.field
-                amp = amplitude
-                for _ in range(51):
-                    try:
-                        knots.append(make_potential(base + random_band_limited(g, rng, amp), g))
-                        break
-                    except NotKahler:
-                        amp *= 0.5
-                else:
-                    pytest.fail("the reference loop found no admissible knot")
-            expected.append((times, knots))
+        expected = draw_then_build_competitors(u_a, u_b, duration, count, 21, budget, amplitude)
         paths = competitor_paths(u_a, u_b, duration, count, 21)
         for (times, knots), path in zip(expected, paths, strict=True):
             assert np.array_equal(path.times, times)
@@ -356,6 +349,28 @@ class TestCompetitorPaths:
                 assert np.array_equal(got.field, want.field)
                 # the knot carries the density its verdict read
                 assert np.abs(got.density - want.density).max() <= 1e-13
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_knots_match_draw_then_build_loop_across_blocks(self, monkeypatch, scheme):
+        """A first amplitude of 0.05 * 2^6 leaves every knot inadmissible for more
+        than one block of candidates, so blocks run out in every path; handing
+        back the unused normals keeps every knot that of one draw at a time."""
+        g = Grid(16, scheme)
+        rng = np.random.default_rng(11)
+        u_a, u_b = random_potential(g, rng, 0.02), random_potential(g, rng, 0.02)
+        monkeypatch.setattr(action, "_AMPLITUDE", 0.05 * 2.0**6)
+        blocks = []
+        monkeypatch.setattr(
+            action, "band_limited_rows", _counting(fixtures.band_limited_rows, blocks)
+        )
+        count, budget = 6, action._KNOT_BUDGET
+        expected = draw_then_build_competitors(u_a, u_b, 1.0, count, 4, budget, 0.05 * 2.0**6)
+        paths = competitor_paths(u_a, u_b, 1.0, count, 4)
+        assert len(blocks) >= 2 * count
+        for (times, knots), path in zip(expected, paths, strict=True):
+            assert np.array_equal(path.times, times)
+            for want, got in zip(knots, path.knots[1:-1], strict=True):
+                assert np.array_equal(got.field, want.field)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_knot_density_is_ma_density(self, scheme):
@@ -367,13 +382,9 @@ class TestCompetitorPaths:
                 assert np.abs(knot.density - ma_density(knot.field, g)).max() <= 1e-13
 
     def test_forms_of_one_check_share_one_draw(self, monkeypatch):
+        """The set is drawn, path by path, once for the three forms of one key."""
         calls = []
-
-        def counting(*args):
-            calls.append(1)
-            return fixtures.sample_band_limited(*args)
-
-        monkeypatch.setattr(action, "sample_band_limited", counting)
+        monkeypatch.setattr(action, "_knots", _counting(action._knots, calls))
         g = Grid(16)
         rng = np.random.default_rng(8)
         u_a, u_b = random_potential(g, rng, 0.02), random_potential(g, rng, 0.02)
@@ -383,7 +394,7 @@ class TestCompetitorPaths:
             q = LeastActionQuery(u_a, u_b, 1.0, spec, tol=1e-4, time_steps=8)
             verify_least_action(q, count=5, seed=3, geodesic=geod)
             draws.append(len(calls))
-        assert draws[0] >= 5 * 4 and draws == [draws[0]] * 3
+        assert draws == [5, 5, 5]
 
     def test_draws_run_no_transform(self, monkeypatch):
         """No transform runs and no density is recomputed: make_potential would
@@ -498,6 +509,46 @@ class TestVerifyLeastAction:
                 q = LeastActionQuery(u_a, u_b, 1.0, spec, tol=1e-5, time_steps=8)
                 report = verify_least_action(q, count=50, seed=seed, geodesic=geo)
                 assert min(report.provenance["margins"]) >= -1e-12
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_margins_are_path_actions_bitwise(self, n, scheme):
+        """Pricing the set in chunks gives each path's path_action less the
+        geodesic's, bit for bit, for every form; 7 paths are not a whole number
+        of chunks."""
+        g = Grid(n, scheme)
+        rng = np.random.default_rng(30)
+        u_a, u_b = random_potential(g, rng, 0.02), random_potential(g, rng, 0.02)
+        geo = linear_path(u_a, u_b, 0.0, 1.0, 8)
+        paths = competitor_paths(u_a, u_b, 1.0, 7, seed=2)
+        supfam = SupFamily((
+            (0.0, rearrange_values([2.0, 1.0], [0.5, 0.5])),
+            (0.1, rearrange_values([1.5, 0.5], [0.25, 0.75])),
+        ))
+        forms = (Power(1.0), Power(2.0), LorentzWeak(0.5), quadratic_lagrangian(), supfam)
+        for spec in forms:
+            q = LeastActionQuery(u_a, u_b, 1.0, spec)
+            margins = verify_least_action(q, count=7, seed=2, geodesic=geo).provenance["margins"]
+            g_action = path_action(spec, geo)
+            assert margins == tuple(path_action(spec, p) - g_action for p in paths)
+
+    def test_warm_memo_pricing_stays_small(self):
+        """Pricing a memoized set of 100 paths at n = 32 allocates at most 3 MB at
+        a time: the chunks, not the set, bound it."""
+        g = Grid(32)
+        rng = np.random.default_rng(31)
+        u_a, u_b = random_potential(g, rng, 0.02), random_potential(g, rng, 0.02)
+        geo = linear_path(u_a, u_b, 0.0, 1.0, 16)
+        q = LeastActionQuery(u_a, u_b, 1.0, LorentzWeak(0.5))
+        verify_least_action(q, count=100, seed=0, geodesic=geo)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            verify_least_action(q, count=100, seed=0, geodesic=geo)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 3_000_000
 
 
 class TestVerifyComparison:

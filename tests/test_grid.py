@@ -10,6 +10,7 @@ from mal.grid import (
     Potential,
     WeightedValues,
     axis_matrices,
+    check_potentials,
     dx,
     dy,
     gradient,
@@ -122,6 +123,28 @@ class TestPotential:
             Potential(g, f, np.ones((16, 16)))
         with pytest.raises(NotKahler):
             Potential(g, np.zeros((16, 16)), np.where(f == 0.0, 1.0, bad))
+
+    def test_stack_checks_are_the_potential_checks(self):
+        """A fault in one knot of a (2, 3, n, n) stack raises what Potential raises
+        for that knot alone."""
+        g = Grid(8)
+        rng = np.random.default_rng(6)
+        u = random_potential(g, rng, 0.03)
+        for fault in ("nan field", "zero density", "density mean"):
+            fields = np.broadcast_to(u.field, (2, 3, 8, 8)).copy()
+            densities = np.broadcast_to(u.density, (2, 3, 8, 8)).copy()
+            if fault == "nan field":
+                fields[1, 2, 0, 3] = np.nan
+            elif fault == "zero density":
+                densities[1, 2, 4, 4] = 0.0
+            else:
+                densities[1, 2] *= 1.0 + 1e-12
+            with pytest.raises((NotKahler, ValueError)) as from_knot:
+                Potential(g, fields[1, 2], densities[1, 2])
+            with pytest.raises(type(from_knot.value)) as from_stack:
+                check_potentials(fields, densities)
+            assert str(from_stack.value) == str(from_knot.value), fault
+        check_potentials(np.stack([u.field] * 3), np.stack([u.density] * 3))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
