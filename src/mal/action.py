@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GenerationFailed, HomogeneityRequired
-from .fixtures import _mode_table, band_limited_rows
+from .fixtures import band_limited_rows, rewind_band_limited
 from .geodesics import (
     EpsGeodesicProblem,
     jacobi_field,
@@ -206,8 +206,8 @@ def _knots(
     judges _BLOCK candidates at once.  They come from blocks of _BLOCK per
     knot still to come, made in one call (band_limited_rows).  When a block
     is spent, and after the last knot, the normals of its unused candidates
-    go back: rng's state is restored and the used draws are drawn again, so
-    the stream, and every knot, are those of one draw at a time.
+    go back (rewind_band_limited), so the stream, and every knot, are those of
+    one draw at a time.
     """
     grid = start.grid
     fields, densities = np.empty((2, len(fractions), grid.n, grid.n))
@@ -218,7 +218,7 @@ def _knots(
         for first in range(0, _TRIES, _BLOCK):
             rows = min(_BLOCK, _TRIES - first)
             if used + rows > len(block[0]):
-                state, used = _hand_back(rng, state, used, grid), 0
+                state, used = rewind_band_limited(grid, rng, state, used, _MAX_MODE), 0
                 block = band_limited_rows(grid, rng, _BLOCK * (len(fractions) - j), _MAX_MODE)
             f, lap = (b[used : used + rows] for b in block)
             sup = np.abs(f).reshape(rows, -1).max(axis=-1)
@@ -238,17 +238,8 @@ def _knots(
             raise GenerationFailed(
                 f"no admissible knot at s = {s:.4g} after {_TRIES - 1} amplitude shrinkages"
             )
-    _hand_back(rng, state, used, grid)
+    rewind_band_limited(grid, rng, state, used, _MAX_MODE)
     return fields, densities
-
-
-def _hand_back(rng: np.random.Generator, state: dict, used: int, grid) -> dict:
-    """Restore rng to state and draw the normals of `used` knot draws on grid
-    again; the state that leaves."""
-    rng.bit_generator.state = state
-    _, draws, _, _ = _mode_table(grid, _MAX_MODE)
-    rng.standard_normal((used, draws))
-    return rng.bit_generator.state
 
 
 def competitor_paths(

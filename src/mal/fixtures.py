@@ -51,6 +51,17 @@ def band_limited_rows(
     return out[:, 0], out[:, 1]
 
 
+def rewind_band_limited(
+    grid: Grid, rng: np.random.Generator, state: dict, rows: int, max_mode: int
+) -> dict:
+    """Set rng back to state and move it past the normals of the first rows draws of
+    band_limited_rows from there, so draws made ahead and left unused go back to the
+    stream; returns the state that leaves."""
+    rng.bit_generator.state = state
+    rng.standard_normal((rows, _mode_table(grid, max_mode)[1]))
+    return rng.bit_generator.state
+
+
 def sample_band_limited(
     grid: Grid, rng: np.random.Generator, amplitude: float, max_mode: int
 ) -> tuple[GridField, GridField]:

@@ -87,20 +87,15 @@ class LorentzWeak(_RowForm):
         # critical point is a minimum, so the sup sits on a segment end.  A run
         # of equal levels is one segment, charged at its last cell, so the
         # prefixes are those of the merged rearrangement bit for bit; inside a
-        # run the ratio only falls, since the prefix stays while s grows.  With
-        # no tie in the stack every run is one cell and its mass the difference
-        # of consecutive running masses, the merge's own subtraction
+        # run the ratio only falls, since the prefix stays while s grows
         levels, w = descending_rows(np.abs(values), weights)
         running = np.cumsum(w, axis=-1)
         last = np.ones(levels.shape, dtype=bool)
         last[..., :-1] = levels[..., 1:] != levels[..., :-1]
-        if last.all():
-            prefix = np.cumsum(levels * np.diff(running, axis=-1, prepend=0.0), axis=-1)
-        else:
-            run_end = np.maximum.accumulate(np.where(last, running, 0.0), axis=-1)
-            start = np.zeros_like(running)
-            start[..., 1:] = run_end[..., :-1]
-            prefix = np.cumsum(np.where(last, levels * (running - start), 0.0), axis=-1)
+        run_end = np.maximum.accumulate(np.where(last, running, 0.0), axis=-1)
+        start = np.zeros_like(running)
+        start[..., 1:] = run_end[..., :-1]
+        prefix = np.cumsum(np.where(last, levels * (running - start), 0.0), axis=-1)
         return np.max(prefix / running**self.alpha, axis=-1)
 
 

@@ -10,9 +10,8 @@ transport along piecewise-linear paths segment by segment, the grid's
 cometric pairing, Poisson bracket and integral, the covariant derivative
 along a path, the Jacobi-equation residual and time convexity of a solved
 path, the similar-ordering test, the Hardy-Littlewood pairing on a common
-refinement, the weak Lorentz value by merging tied levels, and the
-Lagrangians' property checks (invariance, fiber convexity, Lipschitz
-constants, strong continuity).
+refinement, and the Lagrangians' property checks (invariance, fiber
+convexity, Lipschitz constants, strong continuity).
 """
 
 from typing import Sequence
@@ -42,12 +41,7 @@ from mal.lagrangians import (
     VerificationReport,
     evaluate,
 )
-from mal.rearrangement import (
-    _refinement,
-    decreasing_rearrangement,
-    descending_rows,
-    equidistributed,
-)
+from mal.rearrangement import _refinement, decreasing_rearrangement, equidistributed
 from mal.transport import (
     PotentialPath,
     TransportMap,
@@ -189,20 +183,6 @@ def draw_then_build_competitors(u_a, u_b, duration, count, seed, budget, amplitu
                 raise AssertionError("the reference loop found no admissible knot")
         paths.append((times, knots))
     return paths
-
-
-def lorentz_merged_rows(alpha, values, weights):
-    """The weak Lorentz value of each row with every run of tied levels merged:
-    the prefixes are charged at each run's last cell over the run's mass."""
-    levels, w = descending_rows(np.abs(values), weights)
-    running = np.cumsum(w, axis=-1)
-    last = np.ones(levels.shape, dtype=bool)
-    last[..., :-1] = levels[..., 1:] != levels[..., :-1]
-    run_end = np.maximum.accumulate(np.where(last, running, 0.0), axis=-1)
-    start = np.zeros_like(running)
-    start[..., 1:] = run_end[..., :-1]
-    prefix = np.cumsum(np.where(last, levels * (running - start), 0.0), axis=-1)
-    return np.max(prefix / running**alpha, axis=-1)
 
 
 def inadmissible_lgmres(n, amplitude=1e12):

@@ -88,6 +88,24 @@ class TestSampleBandLimited:
                     assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), (n, m)
                 assert ours.standard_normal() == theirs.standard_normal()
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("max_mode", [0, 3, 5])
+    def test_rows_are_consecutive_draws_and_unused_ones_go_back(self, scheme, max_mode):
+        """band_limited_rows gives the unscaled trig sums of consecutive draws; after
+        a rewind past `used` of them the stream is that of `used` draws alone."""
+        g = Grid(16, scheme)
+        for used in (0, 1, 4, 7):
+            ours, theirs = np.random.default_rng(used), np.random.default_rng(used)
+            state = ours.bit_generator.state
+            fields, laps = fixtures.band_limited_rows(g, ours, 7, max_mode)
+            for f, lap in zip(fields[:used], laps[:used]):
+                want = band_limited_reference(g, theirs, 1.0, max_mode)
+                sup = np.abs(f).max()
+                scale = 1.0 / sup if sup else 0.0
+                assert np.array_equal(f * scale, want[0]) and np.array_equal(lap * scale, want[1])
+            left = fixtures.rewind_band_limited(g, ours, state, used, max_mode)
+            assert left == ours.bit_generator.state == theirs.bit_generator.state
+
     def test_mode_table_stays_small(self):
         """Tables of n M and M^2 entries: a dense modes x n^2 table would take 69 MB here."""
         table = fixtures._mode_table(Grid(32), 32)

@@ -12,7 +12,6 @@ from helpers import (
     hardy_littlewood_refinement,
     integrate,
     lipschitz_bound,
-    lorentz_merged_rows,
     sorted_merge_oracle,
 )
 
@@ -211,22 +210,6 @@ class TestLorentzSegmentEnds:
             assert LorentzWeak(alpha).of_weighted(wv) == want
             probed += inside > 0
         assert probed >= 80
-
-    def test_untied_stacks_equal_the_merge_bitwise(self):
-        """With no tie in a stack the kernel skips the merge of tied levels and
-        still gives the merge's value bit for bit, at widths up to (5, 1024)."""
-        rng = np.random.default_rng(13)
-        for i in range(200):
-            rows, cells = int(rng.integers(1, 6)), int(rng.choice([1, 2, 7, 40, 1024]))
-            values = rng.standard_normal((rows, cells)) * 10.0 ** rng.uniform(-3.0, 3.0)
-            if i % 3 == 0:
-                values = -np.abs(values)
-            weights = rng.dirichlet(np.ones(cells), size=rows)
-            levels = np.sort(np.abs(values), axis=-1)
-            assert (levels[:, 1:] != levels[:, :-1]).all()
-            alpha = float(rng.uniform(0.05, 0.95))
-            got = evaluate_rows(LorentzWeak(alpha), values, weights)
-            assert got.tobytes() == lorentz_merged_rows(alpha, values, weights).tobytes()
 
 
 # every form, the sup family with the members of acceptance check 04
